@@ -10,17 +10,21 @@ Two probe instances suffice.  The (3, 3) and (3, 5) constraints share
 exactly the rational roots 0, 1 and 3, each selecting one closed-form
 family, and two exact certificates rule out anything else surviving:
 deflating the probe GCD by its rational roots must leave a constant
-(`residual_cofactor_check`), and the two constraint cofactors left after
-removing the shared roots must be coprime (`cofactor_gcd_check`).
+(`residual_cofactor_check`), and the constraint cofactors of the probes
+the run used, left after removing their shared rational roots, must
+have a constant GCD (`cofactor_gcd_check`).
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
-from .exactalg import Poly, RatFunc, exact_div, extract_rational_factors, poly_gcd, rational_roots
+# rational_roots is unused here but stays importable: perfbench/tracer.py patches it
+from .exactalg import Poly, RatFunc, exact_div, extract_rational_factors, poly_gcd, rational_roots  # noqa: F401
 from .seqengine import FamilyId, SymbolicTable, derive_d, residual_numerator
 
 __all__ = [
@@ -82,6 +86,38 @@ class ConstraintRecord:
     roots: tuple[tuple[Fraction, int], ...]
     cofactor: Poly
 
+    @classmethod
+    def probe(cls, m: int, n: int, table: SymbolicTable) -> "ConstraintRecord":
+        """Reduce the (m, n) instance and split off its rational roots."""
+        numerator = residual_numerator(m, n, table)
+        if numerator.is_zero:
+            return cls(m, n, numerator, (), Poly())
+        roots, cofactor = extract_rational_factors(numerator)
+        return cls(m, n, numerator, roots, cofactor)
+
+    def to_dict(self) -> dict:
+        """JSON shape; rationals are rendered as strings."""
+        return {
+            "m": self.m,
+            "n": self.n,
+            "numerator": str(self.numerator),
+            "roots": [[str(root), mult] for root, mult in self.roots],
+            "factors": [linear_factor_str(root, mult) for root, mult in self.roots],
+            "cofactor": str(self.cofactor),
+        }
+
+    def lines(self) -> list[str]:
+        """Text rendering, one list item per output line."""
+        head = f"constraint ({self.m},{self.n}): {self.numerator}"
+        if self.numerator.is_zero:
+            return [head, "  identically zero"]
+        factors = ", ".join(linear_factor_str(r, k) for r, k in self.roots)
+        return [
+            head,
+            f"  factors: {factors if factors else '(none)'}",
+            f"  cofactor: {self.cofactor}",
+        ]
+
 
 @dataclass
 class ClassificationReport:
@@ -114,17 +150,7 @@ class ClassificationReport:
                 for rec in self.branches
             ],
             "d": str(self.d_formula),
-            "constraints": [
-                {
-                    "m": rec.m,
-                    "n": rec.n,
-                    "numerator": str(rec.numerator),
-                    "roots": [[str(root), mult] for root, mult in rec.roots],
-                    "factors": [linear_factor_str(root, mult) for root, mult in rec.roots],
-                    "cofactor": str(rec.cofactor),
-                }
-                for rec in self.constraints
-            ],
+            "constraints": [rec.to_dict() for rec in self.constraints],
             "surviving_c": [str(root) for root in self.surviving_c],
             "family_map": {str(root): fam.value for root, fam in self.family_map.items()},
             "cofactor_check": self.residual_cofactor_check,
@@ -207,16 +233,8 @@ def solve_c(
     if table is None:
         table = SymbolicTable()
 
-    constraints: list[ConstraintRecord] = []
-    nonzero: list[Poly] = []
-    for m, n in probes:
-        numerator = residual_numerator(m, n, table)
-        if numerator.is_zero:
-            constraints.append(ConstraintRecord(m, n, numerator, (), Poly()))
-            continue
-        roots, cofactor = extract_rational_factors(numerator)
-        constraints.append(ConstraintRecord(m, n, numerator, roots, cofactor))
-        nonzero.append(numerator)
+    constraints = [ConstraintRecord.probe(m, n, table) for m, n in probes]
+    nonzero = [rec.numerator for rec in constraints if not rec.numerator.is_zero]
     if not nonzero:
         raise WeakProbesError(
             "every probe residual is identically zero; add a pair with both "
@@ -246,30 +264,32 @@ def solve_c(
         surviving_c=surviving,
         family_map=family_map,
         residual_cofactor_check=complete,
-        cofactor_gcd_check=cofactor_gcd_check(table),
+        cofactor_gcd_check=cofactor_gcd_check(constraints),
         notes=tuple(notes),
         unresolved_cofactor=None if complete else leftover,
     )
 
 
-def cofactor_gcd_check(table: SymbolicTable | None = None) -> bool:
-    """Certify that the (3, 3) and (3, 5) constraints only meet at 0, 1, 3.
+def cofactor_gcd_check(constraints: list[ConstraintRecord]) -> bool:
+    """Certify that the given constraints only meet at their shared rational roots.
 
-    Removes the rational roots the two numerators share, then demands the
-    leftover cofactors be coprime.  A nontrivial GCD here would mean a
-    common factor beyond the shared linear ones, that is a possible
-    common real root the rational-root extraction cannot see.
+    Takes the records whose numerator does not vanish identically,
+    removes from each numerator the rational roots all of them share (at
+    the smallest multiplicity among them), and demands the leftover
+    cofactors have a constant GCD.  A nonconstant GCD would mean a common
+    factor beyond the shared linear ones, that is a possible common real
+    root the rational-root extraction cannot see.  With no non-vanishing
+    record, or with one whose cofactor is not constant, nothing is
+    certified and the result is False.
     """
-    if table is None:
-        table = SymbolicTable()
-    n33 = residual_numerator(3, 3, table)
-    n35 = residual_numerator(3, 5, table)
-    roots33 = dict(rational_roots(n33))
-    roots35 = dict(rational_roots(n35))
-    cof33, cof35 = n33, n35
-    for root in sorted(set(roots33) & set(roots35)):
-        lin = Poly((-root, 1))
-        for _ in range(min(roots33[root], roots35[root])):
-            cof33 = exact_div(cof33, lin)
-            cof35 = exact_div(cof35, lin)
-    return poly_gcd(cof33, cof35).degree == 0
+    live = [rec for rec in constraints if not rec.numerator.is_zero]
+    if not live:
+        return False
+    shared = Counter(dict(live[0].roots))
+    for rec in live[1:]:
+        shared &= Counter(dict(rec.roots))   # keeps the smaller multiplicity
+    linear = Poly((1,))
+    for root, mult in shared.items():
+        linear = linear * Poly((-root, 1)) ** mult
+    cofactors = [exact_div(rec.numerator, linear) for rec in live]
+    return reduce(poly_gcd, cofactors).degree == 0

@@ -16,16 +16,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .classifier import WeakProbesError, linear_factor_str, solve_c
-from .exactalg import DomainError, extract_rational_factors
-from .seqengine import (
-    DEFAULT_MAX_INDEX,
-    FamilyId,
-    SymbolicTable,
-    derive_d,
-    family_value,
-    residual_numerator,
-)
+from .classifier import ConstraintRecord, WeakProbesError, solve_c
+from .exactalg import DomainError
+from .seqengine import DEFAULT_MAX_INDEX, FamilyId, SymbolicTable, derive_d, family_value
 from .veritool import verify_family
 
 _FAMILIES = {fam.value: fam for fam in FamilyId}
@@ -187,13 +180,7 @@ def _classify_lines(report) -> list[str]:
         suffix = f" [{', '.join(fam.value for fam in rec.families)}]" if rec.families else ""
         lines.append(f"branch {rec.branch.value}: {rec.conclusion}{suffix}")
     for rec in report.constraints:
-        lines.append(f"constraint ({rec.m},{rec.n}): {rec.numerator}")
-        if rec.numerator.is_zero:
-            lines.append("  identically zero")
-            continue
-        factors = ", ".join(linear_factor_str(r, k) for r, k in rec.roots)
-        lines.append(f"  factors: {factors if factors else '(none)'}")
-        lines.append(f"  cofactor: {rec.cofactor}")
+        lines.extend(rec.lines())
     lines.append("surviving c: " + ", ".join(str(r) for r in report.surviving_c))
     lines.append(
         "family map: "
@@ -215,6 +202,9 @@ def _cmd_classify(args) -> tuple[int, dict, list[str]]:
     table = SymbolicTable(args.range)
     report = solve_c(args.probes, table)
     code = 0 if report.all_checks_pass else 1
+    if code:
+        print("error: the probes do not certify the classification; see the failed checks",
+              file=sys.stderr)
     return code, report.to_dict(), _classify_lines(report)
 
 
@@ -267,32 +257,9 @@ def _cmd_constraints(args) -> tuple[int, dict, list[str]]:
         if m * n > DEFAULT_MAX_INDEX:
             raise UsageError(f"pair ({m}, {n}) needs index {m * n}, beyond {DEFAULT_MAX_INDEX}")
     table = SymbolicTable()
-    lines: list[str] = []
-    records = []
-    for m, n in args.pairs:
-        numerator = residual_numerator(m, n, table)
-        lines.append(f"constraint ({m},{n}): {numerator}")
-        if numerator.is_zero:
-            lines.append("  identically zero")
-            records.append(
-                {"m": m, "n": n, "numerator": "0", "roots": [], "factors": [], "cofactor": "0"}
-            )
-            continue
-        roots, cofactor = extract_rational_factors(numerator)
-        factors = [linear_factor_str(r, k) for r, k in roots]
-        lines.append(f"  factors: {', '.join(factors) if factors else '(none)'}")
-        lines.append(f"  cofactor: {cofactor}")
-        records.append(
-            {
-                "m": m,
-                "n": n,
-                "numerator": str(numerator),
-                "roots": [[str(r), k] for r, k in roots],
-                "factors": factors,
-                "cofactor": str(cofactor),
-            }
-        )
-    return 0, {"constraints": records}, lines
+    records = [ConstraintRecord.probe(m, n, table) for m, n in args.pairs]
+    lines = [line for rec in records for line in rec.lines()]
+    return 0, {"constraints": [rec.to_dict() for rec in records]}, lines
 
 
 _COMMANDS = {

@@ -371,6 +371,14 @@ class RatFunc:
         self.num: Poly = num
         self.den: Poly = den
 
+    @classmethod
+    def _from_canonical(cls, num: Poly, den: Poly) -> "RatFunc":
+        """Wrap a pair the caller guarantees is already canonical; no gcd runs."""
+        self = object.__new__(cls)
+        self.num = num
+        self.den = den
+        return self
+
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero

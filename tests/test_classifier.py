@@ -116,7 +116,23 @@ def test_enlarged_probe_set_gives_same_classification(table):
 
 
 def test_cofactor_gcd_check_holds(table):
-    assert cofactor_gcd_check(table) is True
+    assert cofactor_gcd_check(solve_c(DEFAULT_PROBES, table).constraints) is True
+
+
+def test_cofactor_gcd_check_uses_only_the_given_records(table):
+    # one record certifies nothing: its own cofactor is not constant
+    assert cofactor_gcd_check(solve_c([(3, 3)], table).constraints) is False
+    # identically zero records are skipped, so (4, 4) adds nothing to (3, 3)
+    assert cofactor_gcd_check(solve_c([(3, 3), (4, 4)], table).constraints) is False
+    assert cofactor_gcd_check(solve_c([(3, 3), (4, 4), (3, 5)], table).constraints) is True
+    assert cofactor_gcd_check([]) is False
+
+
+def test_cofactor_gcd_check_sees_a_shared_irreducible_factor(table):
+    # (5, 9) and (6, 6) share c^2 + 1 beyond the roots 0, 1 and 3
+    report = solve_c([(5, 9), (6, 6)], table)
+    assert report.unresolved_cofactor == Poly((1, 0, 1))
+    assert report.cofactor_gcd_check is False
 
 
 def test_negative_control_cubic_does_not_vanish_at_two():

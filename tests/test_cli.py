@@ -141,6 +141,15 @@ def test_classify_probe_beyond_range_is_usage_error(capsys):
     assert "beyond --range" in capsys.readouterr().err
 
 
+def test_classify_single_probe_in_small_range_fails_cleanly(capsys):
+    # the certificate uses only the probes given, so nothing needs T(15)
+    assert run(["classify", "--range", "10", "--probes", "3,3"]) == 1
+    captured = capsys.readouterr()
+    assert "cofactor gcd check: FAIL" in captured.out.splitlines()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_classify_rejects_malformed_probes(capsys):
     assert run(["classify", "--probes", "3;5"]) == 2
     assert run(["classify", "--probes", "1,5"]) == 2
@@ -165,6 +174,22 @@ def test_constraints_trivial_pair(capsys):
         "constraint (2,7): 0",
         "  identically zero",
     ]
+
+
+def test_constraints_trivial_pair_json(capsys):
+    assert run(["constraints", "--pairs", "2,5", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "constraints": [
+            {"m": 2, "n": 5, "numerator": "0", "roots": [], "factors": [], "cofactor": "0"}
+        ]
+    }
+
+
+def test_constraints_and_classify_render_records_alike(capsys):
+    assert run(["constraints", "--format", "json"]) == 0
+    constraints = json.loads(capsys.readouterr().out)["constraints"]
+    assert run(["classify", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["constraints"] == constraints
 
 
 def test_constraints_json(capsys):

@@ -8,6 +8,8 @@ halving identities and confirmed by independent evaluation at many points.
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from prodrule.exactalg import Poly, RatFunc, poly_gcd
 from prodrule.seqengine import (
@@ -178,3 +180,74 @@ def test_bivariate_parity_with_symbolic(table):
     biv = BivariateTable()
     for n in range(4, 64):
         assert biv.value(n).substitute(D) - table.value(n) == RatFunc(0)
+
+
+def test_table_fills_far_beyond_the_default_range():
+    big = SymbolicTable(max_index=1 << 16)
+    for c0, family in ((0, FamilyId.PERIOD3), (1, FamilyId.CEIL_HALF), (3, FamilyId.TRIANGULAR)):
+        assert big.value(65535)(c0) == family_value(family, 65535)
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the plain RatFunc recursion
+
+
+class _RatFuncReference:
+    """The halving recursion over canonical `RatFunc` values, one gcd per step.
+
+    Slow but obviously correct; entries are memoized across hypothesis
+    examples so sparse samples up to 1024 stay cheap.
+    """
+
+    def __init__(self):
+        c = RatFunc(C_POLY)
+        d = RatFunc(D_NUMER, D_DENOM)
+        self.c, self.d_minus_c = c, d - c
+        self.memo = {0: RatFunc(0), 1: RatFunc(1), 2: c, 3: d}
+
+    def __call__(self, n):
+        if n not in self.memo:
+            k = (n + 1) // 2
+            if n % 2 == 0:
+                self.memo[n] = self.c * self(k) + self(k - 1)
+            else:
+                self.memo[n] = self(k) + self.d_minus_c * self(k - 1)
+        return self.memo[n]
+
+    def residual(self, m, n):
+        return self(m * n) - self(m) * self(n) - self(m - 1) * self(n - 1)
+
+
+REFERENCE = _RatFuncReference()
+
+
+def _assert_same_and_power_of_d(got, want):
+    assert got.num.coeffs == want.num.coeffs
+    assert got.den.coeffs == want.den.coeffs
+    assert got.den == D_DENOM ** (got.den.degree // 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(0, 1024))
+@example(n=1024)
+@example(n=1023)
+def test_table_matches_ratfunc_reference(table, n):
+    _assert_same_and_power_of_d(table.value(n), REFERENCE(n))
+
+
+@st.composite
+def _probe_pairs(draw):
+    m = draw(st.integers(2, 16))
+    return m, draw(st.integers(m, 256 // m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=_probe_pairs())
+@example(pair=(16, 16))
+@example(pair=(3, 85))
+@example(pair=(13, 15))  # the first nonzero residual whose sum sheds a factor of D
+def test_residual_matches_ratfunc_reference(table, pair):
+    m, n = pair
+    want = REFERENCE.residual(m, n)
+    _assert_same_and_power_of_d(residual(m, n, table), want)
+    assert residual_numerator(m, n, table) == want.num

@@ -1,0 +1,56 @@
+"""Independent oracle: sympy recomputes the table and factors the probes.
+
+Skipped when sympy is not installed.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from prodrule.exactalg import Poly
+from prodrule.seqengine import residual_numerator
+
+sympy = pytest.importorskip("sympy")
+
+c = sympy.symbols("c")
+D = c**2 + 2 * c - 1
+d = (3 * c**3 + c) / D
+
+
+def _sympy_table(max_n):
+    t = [sympy.Integer(0), sympy.Integer(1), c, d]
+    for n in range(4, max_n + 1):
+        k = (n + 1) // 2
+        step = c * t[k] + t[k - 1] if n % 2 == 0 else t[k] + (d - c) * t[k - 1]
+        t.append(sympy.cancel(step))
+    return t
+
+
+def _poly(expr):
+    """A sympy polynomial in c as a `Poly` with Fraction coefficients."""
+    coeffs = reversed(sympy.Poly(expr, c).all_coeffs())
+    return Poly(Fraction(int(x.p), int(x.q)) for x in coeffs)
+
+
+def _expr(poly):
+    return sum(sympy.Rational(x.numerator, x.denominator) * c**i for i, x in enumerate(poly.coeffs))
+
+
+def test_sympy_cancel_agrees_with_the_table(table):
+    for n, expected in enumerate(_sympy_table(40)):
+        num, den = sympy.fraction(sympy.cancel(expected))
+        scale = Fraction(1) / _poly(den).leading
+        got = table.value(n)
+        assert got.num == _poly(num) * scale, n
+        assert got.den == _poly(den) * scale, n
+
+
+def test_sympy_factors_the_two_probe_numerators(table):
+    linear = c * (c - 1) * (c - 3)
+    cofactors = []
+    for m, n in ((3, 3), (3, 5)):
+        expr = _expr(residual_numerator(m, n, table))
+        _, factors = sympy.factor_list(expr)
+        assert {c, c - 1, c - 3} <= {base for base, _ in factors}
+        cofactors.append(sympy.cancel(expr / linear))
+    assert sympy.gcd(*cofactors) == 1
