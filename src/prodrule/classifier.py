@@ -221,8 +221,10 @@ def solve_c(
     survives all probes.  Its rational roots are extracted and deflated;
     a constant leftover certifies the root set is complete.
 
-    Raises WeakProbesError when every probe residual is identically zero
-    (for example any probe with a component below 3).
+    Raises WeakProbesError when every probe residual is identically zero.
+    The (m, n) residual vanishes identically exactly when m or n is a
+    power of 2 (checked for every 2 <= m <= n with mn <= 4096), so the
+    probes need a pair with neither component a power of 2.
     """
     probes = [(int(m), int(n)) for m, n in probe_pairs]
     if not probes:
@@ -237,8 +239,8 @@ def solve_c(
     nonzero = [rec.numerator for rec in constraints if not rec.numerator.is_zero]
     if not nonzero:
         raise WeakProbesError(
-            "every probe residual is identically zero; add a pair with both "
-            "components >= 3"
+            "every probe residual is identically zero; add a pair with neither "
+            "component a power of 2, such as 3,3"
         )
 
     shared = nonzero[0]

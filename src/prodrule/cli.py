@@ -5,7 +5,7 @@ Output is text by default; `--format json` emits one JSON document on
 stdout, and `--out PATH` additionally writes that document to a file.
 Diagnostics go to stderr.  Exit codes: 0 success (for verify and
 classify this requires every check to pass), 1 failed checks or domain
-errors, 2 usage errors.
+errors, 2 usage errors, an `--out` path that cannot be written included.
 """
 
 from __future__ import annotations
@@ -291,7 +291,11 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+        try:
+            Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+        except (OSError, ValueError) as exc:   # ValueError: a NUL byte in the path
+            print(f"error: cannot write --out: {exc}", file=sys.stderr)
+            return 2
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:

@@ -26,13 +26,15 @@ built only when a caller asks for a value.
 
 `residual_numerator` turns one (m, n) instance of the product rule into
 a polynomial constraint on c: the instance holds exactly at the roots.
-The five closed-form solution families live in `FamilyId` and
-`family_value`.
+The five closed-form solution families live in `FamilyId`; each is
+defined by its integer closed form u(n) = 2 T(n) (`doubled_form`), and
+`family_value` is u(n)/2.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from fractions import Fraction
 
 from .exactalg import Poly, Poly2, RatFunc, poly_gcd
@@ -44,6 +46,7 @@ __all__ = [
     "SymbolicTable",
     "d_of_c",
     "derive_d",
+    "doubled_form",
     "family_value",
     "residual",
     "residual_numerator",
@@ -79,22 +82,35 @@ class FamilyId(enum.Enum):
     TRIANGULAR = "triangular"    # T(n) = n(n + 1)/2
 
 
+# u(n) = 2 T(n) for each family: every family value is a half-integer, so
+# this integer closed form is the one definition the families have
+_DOUBLED = {
+    FamilyId.ZERO: lambda n: 0,
+    FamilyId.HALF: lambda n: 1,
+    # T(0) = 0 and T(2k) = T(2k - 1) = k, which is ceil(n / 2)
+    FamilyId.CEIL_HALF: lambda n: (n + 1) // 2 * 2,
+    FamilyId.PERIOD3: lambda n: 2 if n % 3 == 1 else 0,
+    FamilyId.TRIANGULAR: lambda n: n * (n + 1),
+}
+
+
+def doubled_form(family: FamilyId) -> Callable[[int], int]:
+    """The integer closed form u(n) = 2 T(n) of a family, for n >= 0."""
+    try:
+        return _DOUBLED[family]
+    except (KeyError, TypeError):
+        raise TypeError(f"unknown family {family!r}") from None
+
+
 def family_value(family: FamilyId, n: int) -> Fraction:
-    """Closed-form value of one of the five solution families at index n."""
+    """Closed-form value of one of the five solution families at index n.
+
+    This is u(n)/2 for the family's integer closed form u = 2T of
+    `doubled_form`, the single source of truth for the family.
+    """
     if n < 0:
         raise ValueError("sequence indices start at 0")
-    if family is FamilyId.ZERO:
-        return Fraction(0)
-    if family is FamilyId.HALF:
-        return Fraction(1, 2)
-    if family is FamilyId.CEIL_HALF:
-        # T(0) = 0 and T(2k) = T(2k - 1) = k, which is ceil(n / 2)
-        return Fraction((n + 1) // 2)
-    if family is FamilyId.PERIOD3:
-        return Fraction(1 if n % 3 == 1 else 0)
-    if family is FamilyId.TRIANGULAR:
-        return Fraction(n * (n + 1), 2)
-    raise TypeError(f"unknown family {family!r}")
+    return Fraction(doubled_form(family)(n), 2)
 
 
 def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

@@ -2,8 +2,11 @@
 
 Closed-form families are checked exhaustively on a full square (m, n)
 grid, and symbolic specializations are checked index by index against a
-family's closed form.  Everything is exact: a report either carries an
-empty failure list or pinpoints the offending pairs.
+family's closed form.  The grid runs on each family's integer closed form
+u(n) = 2 T(n) (`seqengine.doubled_form`), the single source of truth for
+the family, so it needs plain integers only and O(N) memory.  Everything
+is exact: a report either carries an empty failure list or pinpoints the
+offending pairs with their exact `Fraction` sides.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from .seqengine import (
     D_DENOM,
     FamilyId,
     SymbolicTable,
+    doubled_form,
     family_value,
     residual_numerator,
 )
@@ -66,27 +70,29 @@ class VerifyReport:
 
 
 def verify_family(family: FamilyId, max_mn: int) -> VerifyReport:
-    """Check T(mn) = T(m)T(n) + T(m-1)T(n-1) for every 1 <= m, n <= max_mn."""
+    """Check T(mn) = T(m)T(n) + T(m-1)T(n-1) for every 1 <= m, n <= max_mn.
+
+    Runs on the family's integer closed form u = 2T, where the rule reads
+    2 u(mn) = u(m)u(n) + u(m-1)u(n-1): O(N) memory, O(N^2) exact integer
+    checks.  u(0..N) is kept in one list, u(mn) is computed row by row,
+    and exact `Fraction` sides are built only for the cells that fail.
+    """
     if max_mn < 1:
         raise ValueError("max_mn must be positive")
-    values = [family_value(family, k) for k in range(max_mn * max_mn + 1)]
-    # every family value is a half-integer, so the grid runs on u = 2T in
-    # plain integers: the rule becomes 2 u(mn) = u(m)u(n) + u(m-1)u(n-1)
-    doubled = []
-    for v in values:
-        u = 2 * v
-        if u.denominator != 1:
-            raise AssertionError(f"family value {v} is not a half-integer")
-        doubled.append(u.numerator)
+    u = doubled_form(family)
+    us = [u(k) for k in range(max_mn + 1)]
+    next_us = us[1:]
     failures: list[CheckFailure] = []
     for m in range(1, max_mn + 1):
-        um, um1 = doubled[m], doubled[m - 1]
-        mn = 0
-        for n in range(1, max_mn + 1):
-            mn += m
-            if 2 * doubled[mn] != um * doubled[n] + um1 * doubled[n - 1]:
-                rhs = values[m] * values[n] + values[m - 1] * values[n - 1]
-                failures.append(CheckFailure(m, n, values[mn], rhs))
+        um, um1 = us[m], us[m - 1]
+        lhs = [2 * u(mn) for mn in range(m, m * max_mn + 1, m)]
+        rhs = [um * un + um1 * un1 for un, un1 in zip(next_us, us)]
+        if lhs != rhs:
+            failures.extend(
+                CheckFailure(m, n, Fraction(left, 4), Fraction(right, 4))
+                for n, left, right in zip(range(1, max_mn + 1), lhs, rhs)
+                if left != right
+            )
     return VerifyReport(
         subject=f"family:{family.value}",
         range=max_mn,

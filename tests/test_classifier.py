@@ -15,7 +15,7 @@ from prodrule.classifier import (
     solve_c,
 )
 from prodrule.exactalg import Poly, equal_up_to_scalar
-from prodrule.seqengine import FamilyId
+from prodrule.seqengine import FamilyId, residual_numerator
 
 CUBIC = Poly((-1, 1, 0, 2))  # 2c^3 + c - 1
 
@@ -94,6 +94,20 @@ def test_all_probes_degenerate_raises(table):
         solve_c([(2, 2)], table)
     with pytest.raises(WeakProbesError):
         solve_c([(2, 2), (2, 9)], table)
+    with pytest.raises(WeakProbesError, match="neither component a power of 2"):
+        solve_c([(4, 7), (4, 4), (3, 8)], table)
+
+
+def _is_power_of_two(k):
+    return k & (k - 1) == 0
+
+
+@pytest.mark.parametrize("m", range(2, 33))
+def test_residual_vanishes_exactly_at_a_power_of_two(table, m):
+    # the rule the WeakProbesError hint states, for every m <= n, mn <= 1024
+    for n in range(m, 1024 // m + 1):
+        vanishes = residual_numerator(m, n, table).is_zero
+        assert vanishes == (_is_power_of_two(m) or _is_power_of_two(n)), (m, n)
 
 
 def test_probe_indices_must_be_at_least_two(table):

@@ -2,10 +2,19 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 import prodrule.cli as cli
+import prodrule.veritool as veritool
 from prodrule.cli import run
+from prodrule.seqengine import FamilyId, doubled_form
 from prodrule.veritool import CheckFailure, VerifyReport
+
+# stdout of the grid verifier and the family tables before the streaming
+# verifier, keyed by argv; "corrupt" cases set the ceilhalf T(6) to 7/2
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_stdout.json").read_text())
 
 D_STR = "(3c^3 + c)/(c^2 + 2c - 1)"
 
@@ -95,6 +104,25 @@ def test_verify_json_mode_aggregates_all_failures(capsys, monkeypatch):
     assert all(len(r["failures"]) == 1 for r in doc["reports"])
 
 
+@pytest.mark.parametrize("case", [k for k in GOLDEN if not k.startswith("corrupt ")])
+def test_stdout_matches_golden(capsys, case):
+    assert run(case.split()) == GOLDEN[case]["exit"]
+    assert capsys.readouterr().out == GOLDEN[case]["stdout"]
+
+
+@pytest.mark.parametrize("case", [k for k in GOLDEN if k.startswith("corrupt ")])
+def test_failing_verify_stdout_matches_golden(capsys, monkeypatch, case):
+    def corrupt(family):
+        u = doubled_form(family)
+        if family is FamilyId.CEIL_HALF:
+            return lambda n: 7 if n == 6 else u(n)
+        return u
+
+    monkeypatch.setattr(veritool, "doubled_form", corrupt)
+    assert run(case.split()[1:]) == GOLDEN[case]["exit"] == 1
+    assert capsys.readouterr().out == GOLDEN[case]["stdout"]
+
+
 def test_classify_text_report(capsys):
     assert run(["classify"]) == 0
     lines = out_lines(capsys)
@@ -134,6 +162,17 @@ def test_classify_single_probe_exits_one(capsys):
 def test_classify_degenerate_probes_exit_one(capsys):
     assert run(["classify", "--probes", "2,2"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_classify_vanishing_probes_name_the_power_of_two_rule(capsys):
+    # every component is >= 3, yet 4 and 8 are powers of 2
+    assert run(["classify", "--probes", "4,7;4,4;3,8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: every probe residual is identically zero; add a pair with "
+        "neither component a power of 2, such as 3,3"
+    ]
 
 
 def test_classify_probe_beyond_range_is_usage_error(capsys):
@@ -228,6 +267,15 @@ def test_out_writes_json_document(capsys, tmp_path):
     assert run(["derive-d", "--out", str(target)]) == 0
     assert out_lines(capsys) == [D_STR]
     assert json.loads(target.read_text()) == {"d": D_STR}
+
+
+def test_unwritable_out_is_usage_error(capsys, tmp_path):
+    for target in (str(tmp_path / "missing" / "report.json"), str(tmp_path), "a\x00b"):
+        assert run(["derive-d", "--out", target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write --out: ")
 
 
 def test_text_and_json_agree(capsys):

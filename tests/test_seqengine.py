@@ -21,6 +21,7 @@ from prodrule.seqengine import (
     SymbolicTable,
     d_of_c,
     derive_d,
+    doubled_form,
     family_value,
     residual,
     residual_numerator,
@@ -163,6 +164,39 @@ def test_triangular_difference_is_index():
 def test_family_value_rejects_negative_index():
     with pytest.raises(ValueError):
         family_value(FamilyId.ZERO, -1)
+
+
+def test_unknown_family_is_a_type_error():
+    for bad in ("triangular", None, 3, ["zero"]):
+        with pytest.raises(TypeError, match="unknown family"):
+            family_value(bad, 4)
+        with pytest.raises(TypeError, match="unknown family"):
+            doubled_form(bad)
+    # the index is checked first, as before
+    with pytest.raises(ValueError):
+        family_value("triangular", -1)
+
+
+def _former_family_value(family, n):
+    """The closed forms as `Fraction`s, written out family by family."""
+    if family is FamilyId.ZERO:
+        return Fraction(0)
+    if family is FamilyId.HALF:
+        return Fraction(1, 2)
+    if family is FamilyId.CEIL_HALF:
+        return Fraction((n + 1) // 2)
+    if family is FamilyId.PERIOD3:
+        return Fraction(1 if n % 3 == 1 else 0)
+    return Fraction(n * (n + 1), 2)
+
+
+@pytest.mark.parametrize("family", list(FamilyId))
+def test_doubled_form_is_twice_the_family_value(family):
+    u = doubled_form(family)
+    for n in range(500):
+        assert type(u(n)) is int
+        assert u(n) == 2 * _former_family_value(family, n)
+        assert family_value(family, n) == _former_family_value(family, n)
 
 
 def test_specializing_c_reproduces_each_resolved_family(table):

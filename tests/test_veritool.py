@@ -1,10 +1,14 @@
 """Verifier tests: grid checks, specializations, candidate scanning."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prodrule.seqengine import FamilyId
+import prodrule.veritool as veritool
+from prodrule.seqengine import FamilyId, doubled_form
 from prodrule.veritool import (
     CheckFailure,
     VerifyReport,
@@ -38,6 +42,108 @@ def test_a_corrupted_sequence_fails():
         failures=[CheckFailure(3, 3, Fraction(5), Fraction(7))],
     )
     assert not report.ok
+
+
+def _corrupted(family, k, bad_u):
+    """The family's closed form u = 2T with u(k) replaced by bad_u."""
+    u = doubled_form(family)
+    return lambda n: bad_u if n == k else u(n)
+
+
+def _reference_verify(family, max_mn, u):
+    """The former verifier: a table of N^2 + 1 `Fraction`s, then the grid."""
+    values = [Fraction(u(k), 2) for k in range(max_mn * max_mn + 1)]
+    doubled = []
+    for v in values:
+        w = 2 * v
+        if w.denominator != 1:
+            raise AssertionError(f"family value {v} is not a half-integer")
+        doubled.append(w.numerator)
+    failures = []
+    for m in range(1, max_mn + 1):
+        um, um1 = doubled[m], doubled[m - 1]
+        mn = 0
+        for n in range(1, max_mn + 1):
+            mn += m
+            if 2 * doubled[mn] != um * doubled[n] + um1 * doubled[n - 1]:
+                rhs = values[m] * values[n] + values[m - 1] * values[n - 1]
+                failures.append(CheckFailure(m, n, values[mn], rhs))
+    return VerifyReport(
+        subject=f"family:{family.value}",
+        range=max_mn,
+        checked=max_mn * max_mn,
+        failures=failures,
+    )
+
+
+@pytest.mark.parametrize(
+    "family, k, bad_u",
+    [
+        (FamilyId.TRIANGULAR, 17, 17 * 18 + 1),   # a prime index, half-integer T
+        (FamilyId.TRIANGULAR, 12, 0),             # a composite index
+        (FamilyId.CEIL_HALF, 6, 7),
+        (FamilyId.PERIOD3, 0, 2),                 # T(0) itself
+        (FamilyId.ZERO, 25, -4),
+        (FamilyId.HALF, 1, 3),
+    ],
+)
+def test_a_corrupted_family_fails_exactly_where_the_rule_breaks(
+    monkeypatch, family, k, bad_u
+):
+    grid = 30
+    u = _corrupted(family, k, bad_u)
+    monkeypatch.setattr(veritool, "doubled_form", lambda fam: u)
+    report = verify_family(family, grid)
+
+    def t(n):
+        return Fraction(u(n), 2)
+
+    expected = []
+    for m in range(1, grid + 1):
+        for n in range(1, grid + 1):
+            if k not in (m * n, m, m - 1, n, n - 1):
+                continue
+            lhs, rhs = t(m * n), t(m) * t(n) + t(m - 1) * t(n - 1)
+            if lhs != rhs:
+                expected.append(CheckFailure(m, n, lhs, rhs))
+    assert expected
+    assert report.failures == expected
+    assert not report.ok
+    assert report.checked == grid * grid
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(list(FamilyId)),
+    max_mn=st.integers(1, 40),
+    data=st.data(),
+)
+def test_streaming_verify_matches_the_fraction_table(family, max_mn, data):
+    k = data.draw(st.integers(0, max_mn * max_mn), label="k")
+    bad_u = data.draw(st.integers(-10**6, 10**6), label="bad_u")
+    u = _corrupted(family, k, bad_u)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(veritool, "doubled_form", lambda fam: u)
+        report = verify_family(family, max_mn)
+    want = _reference_verify(family, max_mn, u)
+    assert report.to_dict() == want.to_dict()
+    assert report.failures == want.failures
+
+
+# 360,001 `Fraction`s alone take about 30 MiB under tracemalloc; the
+# streaming grid at N = 600 peaks near 0.1 MiB
+GRID_600_PEAK_BOUND = 512 * 1024
+
+
+def test_grid_memory_is_linear_in_n():
+    tracemalloc.start()
+    try:
+        report = verify_family(FamilyId.TRIANGULAR, 600)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.checked == 360_000
+    assert peak < GRID_600_PEAK_BOUND
 
 
 def test_crosscheck_specialization_at_resolved_points(table):
