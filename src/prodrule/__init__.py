@@ -39,6 +39,7 @@ from .seqengine import (
     family_value,
     residual,
     residual_numerator,
+    residual_numerator_at,
 )
 from .veritool import (
     CheckFailure,
@@ -81,6 +82,7 @@ __all__ = [
     "rational_roots",
     "residual",
     "residual_numerator",
+    "residual_numerator_at",
     "scan_candidate",
     "solve_c",
     "verify_family",

@@ -237,7 +237,7 @@ def _cmd_verify(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_eval(args) -> tuple[int, dict, list[str]]:
     table = SymbolicTable(max(DEFAULT_MAX_INDEX, args.n))
-    value = table.value(args.n)(args.c)
+    value = table.value_at(args.n, args.c)
     return 0, {"c": str(args.c), "n": args.n, "value": str(value)}, [str(value)]
 
 

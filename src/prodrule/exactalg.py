@@ -280,13 +280,28 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def _homogeneous_eval(coeffs, p: int, q: int) -> int:
+    """q^k f(p/q) for integer coefficients of f, k = len(coeffs) - 1.
+
+    Horner's rule on the homogenised sum of a_i p^i q^(k - i): plain int
+    arithmetic, with no `Fraction` built and no gcd taken along the way.
+    """
+    acc = 0
+    scale = 1
+    for a in reversed(coeffs):
+        acc = acc * p + a * scale
+        scale *= q
+    return acc
+
+
 def rational_roots(f: Poly) -> tuple[tuple[Fraction, int], ...]:
     """All rational roots of f with multiplicities, sorted ascending.
 
-    Denominators are cleared to a primitive integer polynomial, every
-    candidate p/q with p dividing the constant term and q dividing the
-    leading coefficient is tried, and each root found is divided out, so
-    multiplicities and later candidates see the deflated polynomial.
+    Denominators are cleared to a primitive integer polynomial, and every
+    candidate p/q in lowest terms, with p dividing the constant term and q
+    dividing the leading coefficient, is tested on it in integers.  Each
+    root found is then divided out of f, so multiplicities see the
+    deflated polynomial.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial vanishes everywhere")
@@ -304,21 +319,20 @@ def rational_roots(f: Poly) -> tuple[tuple[Fraction, int], ...]:
         ints = [(x * scale).numerator for x in work.coeffs]
         content = math.gcd(*ints)
         const, lead = ints[0] // content, ints[-1] // content
-        candidates = sorted(
-            {
-                sign * Fraction(p, q)
-                for p in _divisors(const)
-                for q in _divisors(lead)
-                for sign in (1, -1)
-            }
+        roots = sorted(
+            Fraction(sign * p, q)
+            for p in _divisors(const)
+            for q in _divisors(lead)
+            if math.gcd(p, q) == 1
+            for sign in (1, -1)
+            if _homogeneous_eval(ints, sign * p, q) == 0
         )
-        for cand in candidates:
+        for root in roots:
             mult = 0
-            while work.degree >= 1 and work(cand) == 0:
-                work = exact_div(work, Poly((-cand, 1)))
+            while work.degree >= 1 and work(root) == 0:
+                work = exact_div(work, Poly((-root, 1)))
                 mult += 1
-            if mult:
-                found[cand] = mult
+            found[root] = mult
     return tuple(sorted(found.items()))
 
 

@@ -22,7 +22,12 @@ Entries combine by scaling with powers of the monic D and then dividing
 D out of P while it divides exactly.  D is irreducible over Q, so
 gcd(P, D^e) is always a power of D and no general gcd is ever needed;
 a stripped pair is already the canonical `RatFunc` P/D^e, which is
-built only when a caller asks for a value.
+built only when a caller asks for a symbolic value.  Evaluation at a
+rational point c0 = p/q (`SymbolicTable.value_at`,
+`residual_numerator_at`) stays in integers too: P and D are evaluated as
+homogenised integer sums and a single `Fraction` is built at the end, so
+no `Poly` or `RatFunc` is made.  D has no rational root, so every
+rational c0 is in the domain.
 
 `residual_numerator` turns one (m, n) instance of the product rule into
 a polynomial constraint on c: the instance holds exactly at the roots.
@@ -37,7 +42,7 @@ import enum
 from collections.abc import Callable
 from fractions import Fraction
 
-from .exactalg import Poly, Poly2, RatFunc, poly_gcd
+from .exactalg import Poly, Poly2, RatFunc, _homogeneous_eval, poly_gcd
 
 __all__ = [
     "DEFAULT_MAX_INDEX",
@@ -50,6 +55,7 @@ __all__ = [
     "family_value",
     "residual",
     "residual_numerator",
+    "residual_numerator_at",
 ]
 
 DEFAULT_MAX_INDEX = 1024
@@ -176,6 +182,20 @@ def _ratfunc(pair: tuple[tuple[int, ...], int]) -> RatFunc:
     return RatFunc._from_canonical(Poly(p), Poly(_d_power(e)))
 
 
+def _pair_at(pair: tuple[tuple[int, ...], int], c0) -> Fraction:
+    """P(c0)/D(c0)^e of a pair at a rational c0, built as one `Fraction`."""
+    p, e = pair
+    c0 = Fraction(c0)
+    num, den = c0.numerator, c0.denominator
+    # P(c0) = top / den^k with k = deg P, and D(c0) = d / den^2
+    top = _homogeneous_eval(p, num, den)
+    d_e = _homogeneous_eval(_D, num, den) ** e
+    shift = 2 * e - len(p) + 1
+    if shift >= 0:
+        return Fraction(top * den**shift, d_e)
+    return Fraction(top, den**-shift * d_e)
+
+
 class _HalvingTable:
     """Memo of T(n) under the halving identities, in any representation.
 
@@ -241,6 +261,10 @@ class SymbolicTable(_HalvingTable):
     def value(self, n: int) -> RatFunc:
         """T(n), computing and caching whatever the recursion touches."""
         return _ratfunc(self._entry(n))
+
+    def value_at(self, n: int, c0) -> Fraction:
+        """T(n) at the rational point c = c0; equal to `value(n)(c0)`."""
+        return _pair_at(self._entry(n), c0)
 
 
 _C2 = Poly2((C_POLY,))
@@ -325,3 +349,11 @@ def residual_numerator(m: int, n: int, table: SymbolicTable | None = None) -> Po
     instance exactly when that value is a root of this polynomial.
     """
     return Poly(_residual_pair(m, n, table)[0])
+
+
+def residual_numerator_at(m: int, n: int, c0, table: SymbolicTable | None = None) -> Fraction:
+    """The canonical (m, n) residual numerator at the rational point c = c0.
+
+    Equal to `residual_numerator(m, n, table)(c0)`, without building a `Poly`.
+    """
+    return _pair_at((_residual_pair(m, n, table)[0], 0), c0)

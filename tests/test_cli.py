@@ -13,7 +13,8 @@ from prodrule.seqengine import FamilyId, doubled_form
 from prodrule.veritool import CheckFailure, VerifyReport
 
 # stdout of the grid verifier and the family tables before the streaming
-# verifier, keyed by argv; "corrupt" cases set the ceilhalf T(6) to 7/2
+# verifier, and of eval before evaluation moved to integers, keyed by argv;
+# "corrupt" cases set the ceilhalf T(6) to 7/2
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_stdout.json").read_text())
 
 D_STR = "(3c^3 + c)/(c^2 + 2c - 1)"

@@ -4,6 +4,7 @@ Expected values were computed by hand (long division, expansion) and are
 frozen here; the property tests then cover the general laws.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,10 @@ from prodrule.exactalg import (
     Poly,
     Poly2,
     RatFunc,
+    _divisors,
+    _homogeneous_eval,
     equal_up_to_scalar,
+    exact_div,
     extract_rational_factors,
     poly_gcd,
     rational_roots,
@@ -297,3 +301,60 @@ def test_ratfunc_evaluation_is_a_homomorphism(fn, fd, gn, gd, x):
     assert (a + b)(x) == a(x) + b(x)
     assert (a - b)(x) == a(x) - b(x)
     assert (a * b)(x) == a(x) * b(x)
+
+
+@given(coeffs=st.lists(st.integers(-10**6, 10**6), max_size=8),
+       p=st.integers(-50, 50), q=st.integers(1, 12))
+def test_homogeneous_eval_is_the_scaled_value(coeffs, p, q):
+    k = len(coeffs) - 1
+    want = Poly(coeffs)(Fraction(p, q)) * Fraction(q) ** k
+    assert _homogeneous_eval(coeffs, p, q) == want
+
+
+def _former_rational_roots(f):
+    """`rational_roots` as it was, testing every candidate by Fraction Horner."""
+    found = {}
+    coeffs = list(f.coeffs)
+    zeros = 0
+    while coeffs and coeffs[0] == 0:
+        coeffs.pop(0)
+        zeros += 1
+    if zeros:
+        found[Fraction(0)] = zeros
+    work = Poly(coeffs)
+    if work.degree >= 1:
+        scale = math.lcm(*(x.denominator for x in work.coeffs))
+        ints = [(x * scale).numerator for x in work.coeffs]
+        content = math.gcd(*ints)
+        const, lead = ints[0] // content, ints[-1] // content
+        candidates = sorted(
+            {sign * Fraction(p, q) for p in _divisors(const) for q in _divisors(lead) for sign in (1, -1)}
+        )
+        for cand in candidates:
+            mult = 0
+            while work.degree >= 1 and work(cand) == 0:
+                work = exact_div(work, Poly((-cand, 1)))
+                mult += 1
+            if mult:
+                found[cand] = mult
+    return tuple(sorted(found.items()))
+
+
+planted_roots = st.lists(
+    st.tuples(st.fractions(min_value=-5, max_value=5, max_denominator=5), st.integers(1, 3)),
+    max_size=3,
+)
+small_polys = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=4), max_size=4).map(Poly)
+
+
+@settings(max_examples=80, deadline=None)
+@given(roots=planted_roots, cofactor=small_polys.filter(lambda f: not f.is_zero), k=nonzero_rationals)
+def test_integer_candidate_test_matches_fraction_horner(roots, cofactor, k):
+    f = cofactor * k
+    for root, mult in roots:
+        f = f * Poly((-root, 1)) ** mult
+    got = rational_roots(f)
+    assert got == _former_rational_roots(f)
+    found = dict(got)
+    for root, _ in roots:
+        assert found[root] >= sum(mult for r, mult in roots if r == root)

@@ -25,6 +25,7 @@ from prodrule.seqengine import (
     family_value,
     residual,
     residual_numerator,
+    residual_numerator_at,
 )
 
 D = d_of_c()
@@ -285,3 +286,41 @@ def test_residual_matches_ratfunc_reference(table, pair):
     want = REFERENCE.residual(m, n)
     _assert_same_and_power_of_d(residual(m, n, table), want)
     assert residual_numerator(m, n, table) == want.num
+
+
+# ---------------------------------------------------------------------------
+# evaluation at a rational point against value(n)(c0) and Poly evaluation
+
+points = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 256), c0=points)
+@example(n=256, c0=Fraction(0))
+@example(n=256, c0=Fraction(1))
+@example(n=256, c0=Fraction(3))
+@example(n=255, c0=Fraction(-50, 11))
+def test_value_at_matches_value_then_evaluate(table, n, c0):
+    got = table.value_at(n, c0)
+    assert type(got) is Fraction
+    assert got == table.value(n)(c0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=_probe_pairs(), c0=points)
+@example(pair=(2, 2), c0=Fraction(5))  # identically zero residual
+@example(pair=(13, 15), c0=Fraction(-7, 5))
+def test_residual_numerator_at_matches_poly_evaluation(table, pair, c0):
+    m, n = pair
+    got = residual_numerator_at(m, n, c0, table)
+    assert type(got) is Fraction
+    assert got == residual_numerator(m, n, table)(c0)
+
+
+def test_value_at_accepts_ints_and_checks_the_range():
+    small = SymbolicTable(8)
+    assert small.value_at(8, 3) == 36
+    with pytest.raises(ValueError):
+        small.value_at(9, 3)
+    with pytest.raises(ValueError):
+        small.value_at(-1, 3)

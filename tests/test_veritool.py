@@ -4,11 +4,11 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import prodrule.veritool as veritool
-from prodrule.seqengine import FamilyId, doubled_form
+from prodrule.seqengine import FamilyId, doubled_form, family_value, residual_numerator
 from prodrule.veritool import (
     CheckFailure,
     VerifyReport,
@@ -216,3 +216,56 @@ def test_failure_serialization():
     assert doc["failures"] == [
         {"m": 2, "n": 3, "lhs": "1/2", "rhs": "3/4"},
     ]
+
+
+# ---------------------------------------------------------------------------
+# specialization checks against evaluation of the symbolic values
+
+
+def _reference_scan(c0, max_prod, table):
+    """The scan as it was: each canonical residual numerator evaluated as a Poly."""
+    hits = []
+    for m in range(3, max_prod + 1):
+        for n in range(m, max_prod // m + 1):
+            value = residual_numerator(m, n, table)(c0)
+            if value != 0:
+                hits.append((m, n, value))
+    return hits
+
+
+def _reference_crosscheck(c0, family, max_n, table):
+    """The crosscheck failures as they were: T(n) as a RatFunc, evaluated at c0."""
+    return [
+        CheckFailure(n, n, table.value(n)(c0), family_value(family, n))
+        for n in range(max_n + 1)
+        if table.value(n)(c0) != family_value(family, n)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(c0=st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)), max_prod=st.integers(9, 61))
+@example(c0=Fraction(2), max_prod=61)
+@example(c0=Fraction(3), max_prod=61)
+@example(c0=Fraction(-7, 5), max_prod=61)
+def test_scan_matches_poly_evaluation(table, c0, max_prod):
+    hits = scan_candidate(c0, max_prod, table)
+    assert hits == _reference_scan(c0, max_prod, table)
+    assert all(type(value) is Fraction for _, _, value in hits)
+
+
+@pytest.mark.parametrize(
+    "c0, family",
+    [
+        (Fraction(3), FamilyId.CEIL_HALF),
+        (Fraction(2), FamilyId.TRIANGULAR),
+        (Fraction(1, 2), FamilyId.HALF),
+        (Fraction(0), FamilyId.ZERO),
+    ],
+)
+def test_wrong_pairing_failures_match_ratfunc_evaluation(table, c0, family):
+    report = crosscheck_specialization(c0, family, 64, table)
+    want = _reference_crosscheck(c0, family, 64, table)
+    assert want
+    assert report.failures == want
+    assert report.checked == 65
+    assert all(type(f.lhs) is type(f.rhs) is Fraction for f in report.failures)
