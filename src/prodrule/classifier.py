@@ -11,20 +11,25 @@ exactly the rational roots 0, 1 and 3, each selecting one closed-form
 family, and two exact certificates rule out anything else surviving:
 deflating the probe GCD by its rational roots must leave a constant
 (`residual_cofactor_check`), and the constraint cofactors of the probes
-the run used, left after removing their shared rational roots, must
-have a constant GCD (`cofactor_gcd_check`).
+the run used, each numerator with all its rational roots split off,
+must have a constant GCD (`cofactor_gcd_check`).  That GCD equals the
+GCD of the numerators with only their shared rational roots removed:
+a root not shared by every numerator, or shared at a higher
+multiplicity by some, still misses from at least one quotient, so the
+quotients' GCD has no rational root and keeps exactly the common
+factors of higher degree.  Root extraction and GCDs run on integer
+coefficients inside `exactalg`.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 
 # rational_roots is unused here but stays importable: perfbench/tracer.py patches it
-from .exactalg import Poly, RatFunc, exact_div, extract_rational_factors, poly_gcd, rational_roots  # noqa: F401
+from .exactalg import Poly, RatFunc, extract_rational_factors, poly_gcd, rational_roots  # noqa: F401
 from .seqengine import FamilyId, SymbolicTable, derive_d, residual_numerator
 
 __all__ = [
@@ -275,23 +280,23 @@ def solve_c(
 def cofactor_gcd_check(constraints: list[ConstraintRecord]) -> bool:
     """Certify that the given constraints only meet at their shared rational roots.
 
-    Takes the records whose numerator does not vanish identically,
-    removes from each numerator the rational roots all of them share (at
-    the smallest multiplicity among them), and demands the leftover
-    cofactors have a constant GCD.  A nonconstant GCD would mean a common
-    factor beyond the shared linear ones, that is a possible common real
-    root the rational-root extraction cannot see.  With no non-vanishing
-    record, or with one whose cofactor is not constant, nothing is
-    certified and the result is False.
+    Takes the records whose numerator does not vanish identically and
+    demands that their cofactors, the numerators with every rational
+    root split off, have a constant GCD.  A nonconstant GCD would mean a
+    common factor beyond the shared linear ones, that is a possible
+    common real root the rational-root extraction cannot see.  With no
+    non-vanishing record, or with one whose cofactor is not constant,
+    nothing is certified and the result is False.
+
+    This is the GCD of the numerators after removing their shared linear
+    factor L, the product of (c - r) over the rational roots r they all
+    share, each at the smallest multiplicity among them.  That GCD has no
+    rational root: for each root some numerator has no factor (c - r)
+    left after dividing by L.  Its irreducible factors of higher degree
+    are exactly the common factors of the cofactors, with the same
+    multiplicities, so the two GCDs are equal.
     """
-    live = [rec for rec in constraints if not rec.numerator.is_zero]
+    live = [rec.cofactor for rec in constraints if not rec.numerator.is_zero]
     if not live:
         return False
-    shared = Counter(dict(live[0].roots))
-    for rec in live[1:]:
-        shared &= Counter(dict(rec.roots))   # keeps the smaller multiplicity
-    linear = Poly((1,))
-    for root, mult in shared.items():
-        linear = linear * Poly((-root, 1)) ** mult
-    cofactors = [exact_div(rec.numerator, linear) for rec in live]
-    return reduce(poly_gcd, cofactors).degree == 0
+    return reduce(poly_gcd, live).degree == 0

@@ -16,6 +16,14 @@ form: monic denominator, gcd(num, den) constant, zero stored as 0/1.
 Uniqueness makes `==` a decision procedure for equality of rational
 functions.
 
+Root extraction and gcds take `Poly` values but run on primitive integer
+coefficient lists: `rational_roots` and `extract_rational_factors` share
+one pass that clears denominators and content once and divides each
+candidate root p/q out as q c - p by exact integer synthetic division
+(Gauss's lemma), and `poly_gcd` runs a primitive pseudo-remainder
+sequence.  Their results are those of the `Fraction` algorithms over Q:
+the same roots and multiplicities, the same cofactor, the same monic gcd.
+
 Every value here is immutable and every operation is pure, so values can
 be shared freely across threads.
 
@@ -246,19 +254,49 @@ def exact_div(f: Poly, g: Poly) -> Poly:
     return q
 
 
-def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic greatest common divisor via the Euclidean remainder sequence.
+def _content_free(ints: list[int]) -> list[int]:
+    """Divide an integer coefficient list by its content, keeping the sign."""
+    content = math.gcd(*ints)
+    return [x // content for x in ints] if content > 1 else ints
 
-    Each remainder is rescaled to monic, which keeps coefficient growth
-    tame at the small degrees this project reaches.
+
+def _primitive(coeffs) -> list[int]:
+    """The primitive integer multiple of rational coefficients (zero stays [])."""
+    scale = math.lcm(*(x.denominator for x in coeffs))
+    return _content_free([x.numerator * (scale // x.denominator) for x in coeffs])
+
+
+def poly_gcd(f: Poly, g: Poly) -> Poly:
+    """Monic greatest common divisor via a primitive remainder sequence.
+
+    Runs in integers: both inputs are made primitive, each division step
+    scales the running remainder by lc(b)/g and subtracts q/g times the
+    shifted divisor, with q its leading coefficient and g = gcd(lc(b), q),
+    and every remainder is made primitive again, so no `Fraction` is built
+    until the monic result.  The monic gcd is unique, so the result is
+    the one the `Fraction` Euclidean algorithm gives.
     """
     if f.is_zero and g.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    a, b = f, g
-    while not b.is_zero:
-        _, r = divmod(a, b)
-        a, b = b, r.monic()
-    return a.monic()
+    a, b = _primitive(f.coeffs), _primitive(g.coeffs)
+    while b:
+        lead = b[-1]
+        db = len(b) - 1
+        rem = list(a)
+        while len(rem) > db:
+            q = rem[-1]
+            if q:
+                common = math.gcd(lead, q)
+                s, t = lead // common, q // common
+                shift = len(rem) - 1 - db
+                rem = [x * s for x in rem]
+                for j, y in enumerate(b):
+                    rem[shift + j] -= t * y
+            rem.pop()
+        while rem and not rem[-1]:
+            rem.pop()
+        a, b = b, _content_free(rem)
+    return Poly(Fraction(x, a[-1]) for x in a)
 
 
 def equal_up_to_scalar(f: Poly, g: Poly) -> bool:
@@ -294,61 +332,84 @@ def _homogeneous_eval(coeffs, p: int, q: int) -> int:
     return acc
 
 
-def rational_roots(f: Poly) -> tuple[tuple[Fraction, int], ...]:
-    """All rational roots of f with multiplicities, sorted ascending.
+def _divide_linear(ints: list[int], p: int, q: int) -> list[int] | None:
+    """The quotient of ints by q c - p over Z, or None when it is not exact.
 
-    Denominators are cleared to a primitive integer polynomial, and every
-    candidate p/q in lowest terms, with p dividing the constant term and q
-    dividing the leading coefficient, is tested on it in integers.  Each
-    root found is then divided out of f, so multiplicities see the
-    deflated polynomial.
+    Synthetic division from the top: each quotient coefficient must be an
+    integer and the remainder zero.  For gcd(p, q) = 1 and primitive ints,
+    Gauss's lemma makes that the same as p/q being a root.
+    """
+    quo = [0] * (len(ints) - 1)
+    carry = 0
+    for i in range(len(ints) - 1, 0, -1):
+        top, rest = divmod(ints[i] + carry, q)
+        if rest:
+            return None
+        quo[i - 1] = top
+        carry = p * top
+    return quo if ints[0] + carry == 0 else None
+
+
+def _split_roots(f: Poly) -> tuple[tuple[tuple[Fraction, int], ...], list[int]]:
+    """Rational roots of f with multiplicities, ascending, and the integer cofactor.
+
+    Denominators and content are cleared once.  Every candidate p/q in
+    lowest terms, p dividing the constant term and q the leading
+    coefficient, is divided out by `_divide_linear` as often as it
+    divides exactly; the cofactor is the last primitive quotient.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial vanishes everywhere")
-    found: dict[Fraction, int] = {}
-    coeffs = list(f.coeffs)
+    coeffs = f.coeffs
     zeros = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
+    while not coeffs[zeros]:
         zeros += 1
-    if zeros:
-        found[_ZERO] = zeros
-    work = Poly(coeffs)
-    if work.degree >= 1:
-        scale = math.lcm(*(x.denominator for x in work.coeffs))
-        ints = [(x * scale).numerator for x in work.coeffs]
-        content = math.gcd(*ints)
-        const, lead = ints[0] // content, ints[-1] // content
-        roots = sorted(
-            Fraction(sign * p, q)
-            for p in _divisors(const)
-            for q in _divisors(lead)
+    work = _primitive(coeffs[zeros:])
+    found = [(_ZERO, zeros)] if zeros else []
+    if len(work) > 1:
+        candidates = [
+            (sign * p, q)
+            for p in _divisors(work[0])
+            for q in _divisors(work[-1])
             if math.gcd(p, q) == 1
             for sign in (1, -1)
-            if _homogeneous_eval(ints, sign * p, q) == 0
-        )
-        for root in roots:
+        ]
+        for p, q in candidates:
             mult = 0
-            while work.degree >= 1 and work(root) == 0:
-                work = exact_div(work, Poly((-root, 1)))
+            while len(work) > 1:
+                quo = _divide_linear(work, p, q)
+                if quo is None:
+                    break
+                work = quo
                 mult += 1
-            found[root] = mult
-    return tuple(sorted(found.items()))
+            if mult:
+                found.append((Fraction(p, q), mult))
+    return tuple(sorted(found)), work
+
+
+def rational_roots(f: Poly) -> tuple[tuple[Fraction, int], ...]:
+    """All rational roots of f with multiplicities, sorted ascending.
+
+    Runs in integers: f is made primitive once and each candidate p/q in
+    lowest terms is divided out as q c - p by exact integer synthetic
+    division while it divides (see `_split_roots`).  Only the roots found
+    become `Fraction`s.  Roots and multiplicities are those of the
+    `Fraction` deflation over Q.
+    """
+    return _split_roots(f)[0]
 
 
 def extract_rational_factors(f: Poly) -> tuple[tuple[tuple[Fraction, int], ...], Poly]:
     """Split f into its rational-root linear factors and the leftover cofactor.
 
     Returns (roots, cofactor) with f = prod (c - r)^mult * cofactor; the
-    cofactor keeps f's leading coefficient and has no rational roots.
+    cofactor keeps f's leading coefficient and has no rational roots.  It
+    is the integer quotient the root pass of `rational_roots` leaves,
+    scaled to f's leading coefficient, so no second deflation runs.
     """
-    roots = rational_roots(f)
-    cofactor = f
-    for root, mult in roots:
-        lin = Poly((-root, 1))
-        for _ in range(mult):
-            cofactor = exact_div(cofactor, lin)
-    return roots, cofactor
+    roots, work = _split_roots(f)
+    scale = f.leading / work[-1]
+    return roots, Poly(x * scale for x in work)
 
 
 def _ratfunc_operand(value):

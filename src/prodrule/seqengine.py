@@ -206,6 +206,8 @@ class _HalvingTable:
     --range` sets it), so an index past it is an error, not a silent
     fill.  Filling mutates the cache, so give each thread its own table
     or share one only after the indices it needs have been computed.
+    `SymbolicTable` also memoizes its residual pairs in `_residuals`, one
+    immutable pair per distinct (m, n) asked for, under the same rule.
     """
 
     _seeds: tuple = ()
@@ -247,6 +249,10 @@ class SymbolicTable(_HalvingTable):
     """
 
     _seeds = (((), 0), ((1,), 0), (_C, 0), (_D_NUMER, 1))
+
+    def __init__(self, max_index: int = DEFAULT_MAX_INDEX):
+        super().__init__(max_index)
+        self._residuals: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
 
     @staticmethod
     def _even(a, b):
@@ -327,14 +333,17 @@ def _residual_pair(m: int, n: int, table: SymbolicTable | None):
         raise ValueError("product-rule probes need m >= 2 and n >= 2")
     if table is None:
         table = SymbolicTable()
-    t = table._entry
-    (pm, em), (pn, en) = t(m), t(n)
-    (pm1, em1), (pn1, en1) = t(m - 1), t(n - 1)
-    return _sum(
-        t(m * n),
-        (_neg(_mul(pm, pn)), em + en),
-        (_neg(_mul(pm1, pn1)), em1 + en1),
-    )
+    pair = table._residuals.get((m, n))
+    if pair is None:
+        t = table._entry
+        (pm, em), (pn, en) = t(m), t(n)
+        (pm1, em1), (pn1, en1) = t(m - 1), t(n - 1)
+        pair = table._residuals[m, n] = _sum(
+            t(m * n),
+            (_neg(_mul(pm, pn)), em + en),
+            (_neg(_mul(pm1, pn1)), em1 + en1),
+        )
+    return pair
 
 
 def residual(m: int, n: int, table: SymbolicTable | None = None) -> RatFunc:

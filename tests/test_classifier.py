@@ -2,19 +2,24 @@
 
 import json
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import kernel_reference as ref
 from prodrule.classifier import (
     DEFAULT_PROBES,
     FAMILY_BY_C,
     Branch,
+    ConstraintRecord,
     WeakProbesError,
     branch_analysis,
     cofactor_gcd_check,
     solve_c,
 )
-from prodrule.exactalg import Poly, equal_up_to_scalar
+from prodrule.exactalg import Poly, equal_up_to_scalar, poly_gcd
 from prodrule.seqengine import FamilyId, residual_numerator
 
 CUBIC = Poly((-1, 1, 0, 2))  # 2c^3 + c - 1
@@ -147,6 +152,40 @@ def test_cofactor_gcd_check_sees_a_shared_irreducible_factor(table):
     report = solve_c([(5, 9), (6, 6)], table)
     assert report.unresolved_cofactor == Poly((1, 0, 1))
     assert report.cofactor_gcd_check is False
+
+
+@pytest.mark.parametrize(
+    "probes",
+    [
+        DEFAULT_PROBES,
+        ((3, 3),),
+        ((3, 3), (4, 4)),
+        ((4, 7), (5, 9), (6, 6)),
+        ((3, 3), (3, 5), (4, 7), (5, 9)),
+        ((9, 113), (17, 60), (31, 33), (3, 341)),
+    ],
+)
+def test_cofactor_gcd_check_matches_the_former_check(table, probes):
+    report = solve_c(probes, table)
+    assert report.cofactor_gcd_check == ref.cofactor_gcd_check(report.constraints)
+
+
+_SMALL_PROBES = [
+    (m, n) for m in range(3, 13) for n in range(m, 150 // m + 1)
+    if m & (m - 1) and n & (n - 1)   # skip the identically zero residuals
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(probes=st.lists(st.sampled_from(_SMALL_PROBES), min_size=1, max_size=3))
+@example(probes=[(5, 9), (6, 6)])   # c^2 + 1 is shared beyond the rational roots
+@example(probes=[(3, 3)])
+def test_cofactor_gcd_is_the_shared_root_free_gcd(table, probes):
+    # the equivalence the cofactor_gcd_check docstring states, as polynomials
+    records = [ConstraintRecord.probe(m, n, table) for m, n in probes]
+    common = reduce(poly_gcd, [rec.cofactor for rec in records])
+    assert common.monic() == ref.shared_root_free_gcd(records).monic()
+    assert cofactor_gcd_check(records) == ref.cofactor_gcd_check(records)
 
 
 def test_negative_control_cubic_does_not_vanish_at_two():

@@ -4,26 +4,25 @@ Expected values were computed by hand (long division, expansion) and are
 frozen here; the property tests then cover the general laws.
 """
 
-import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kernel_reference as ref
 from prodrule.exactalg import (
     DomainError,
     Poly,
     Poly2,
     RatFunc,
-    _divisors,
     _homogeneous_eval,
     equal_up_to_scalar,
-    exact_div,
     extract_rational_factors,
     poly_gcd,
     rational_roots,
 )
+from prodrule.seqengine import residual_numerator
 
 C = Poly((0, 1))
 DENOM = Poly((-1, 2, 1))        # c^2 + 2c - 1
@@ -311,35 +310,6 @@ def test_homogeneous_eval_is_the_scaled_value(coeffs, p, q):
     assert _homogeneous_eval(coeffs, p, q) == want
 
 
-def _former_rational_roots(f):
-    """`rational_roots` as it was, testing every candidate by Fraction Horner."""
-    found = {}
-    coeffs = list(f.coeffs)
-    zeros = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        zeros += 1
-    if zeros:
-        found[Fraction(0)] = zeros
-    work = Poly(coeffs)
-    if work.degree >= 1:
-        scale = math.lcm(*(x.denominator for x in work.coeffs))
-        ints = [(x * scale).numerator for x in work.coeffs]
-        content = math.gcd(*ints)
-        const, lead = ints[0] // content, ints[-1] // content
-        candidates = sorted(
-            {sign * Fraction(p, q) for p in _divisors(const) for q in _divisors(lead) for sign in (1, -1)}
-        )
-        for cand in candidates:
-            mult = 0
-            while work.degree >= 1 and work(cand) == 0:
-                work = exact_div(work, Poly((-cand, 1)))
-                mult += 1
-            if mult:
-                found[cand] = mult
-    return tuple(sorted(found.items()))
-
-
 planted_roots = st.lists(
     st.tuples(st.fractions(min_value=-5, max_value=5, max_denominator=5), st.integers(1, 3)),
     max_size=3,
@@ -354,7 +324,68 @@ def test_integer_candidate_test_matches_fraction_horner(roots, cofactor, k):
     for root, mult in roots:
         f = f * Poly((-root, 1)) ** mult
     got = rational_roots(f)
-    assert got == _former_rational_roots(f)
+    assert got == ref.rational_roots(f)
     found = dict(got)
     for root, _ in roots:
         assert found[root] >= sum(mult for r, mult in roots if r == root)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the former `Fraction` routines (kernel_reference)
+
+fractional_roots = st.lists(
+    st.tuples(st.builds(Fraction, st.integers(-9, 9), st.integers(2, 6)), st.integers(1, 4)),
+    max_size=3,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    roots=fractional_roots,
+    zeros=st.integers(0, 3),
+    cofactor=small_polys.filter(lambda f: not f.is_zero),
+    k=nonzero_rationals,
+)
+@example(roots=[], zeros=0, cofactor=Poly((5,)), k=Fraction(-1, 3))
+@example(roots=[], zeros=2, cofactor=Poly((Fraction(3, 4),)), k=Fraction(1))
+@example(roots=[(Fraction(2, 3), 4), (Fraction(-1, 2), 1)], zeros=1, cofactor=Poly((1, 0, 1)), k=Fraction(-7, 2))
+def test_root_extraction_matches_the_fraction_reference(roots, zeros, cofactor, k):
+    f = cofactor * k * C**zeros
+    for root, mult in roots:
+        f = f * Poly((-root, 1)) ** mult
+    assert rational_roots(f) == ref.rational_roots(f)
+    assert extract_rational_factors(f) == ref.extract_rational_factors(f)
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=polys, g=polys, h=polys, roots=fractional_roots)
+@example(f=Poly(), g=Poly((0, 2, 4)), h=Poly((1,)), roots=[])
+@example(f=Poly((Fraction(-3, 2),)), g=Poly((0, 2, 4)), h=Poly((1,)), roots=[])
+@example(f=Poly((1, 1)), g=Poly((-1, 1)), h=Poly((-2, 3)), roots=[(Fraction(1, 2), 4)])
+def test_gcd_matches_the_euclid_reference(f, g, h, roots):
+    for root, mult in roots:
+        h = h * Poly((-root, 1)) ** mult
+    f, g = f * h, g * h
+    if f.is_zero and g.is_zero:
+        with pytest.raises(ValueError):
+            poly_gcd(f, g)
+        return
+    assert poly_gcd(f, g) == ref.poly_gcd(f, g)
+
+
+def test_kernel_matches_the_references_on_every_probe_numerator(table):
+    # every nonzero residual numerator with 3 <= m <= n, mn <= 1024
+    probes = [residual_numerator(3, 3, table), residual_numerator(3, 5, table)]
+    count = 0
+    for m in range(3, 33):
+        for n in range(m, 1024 // m + 1):
+            f = residual_numerator(m, n, table)
+            if f.is_zero:
+                continue
+            count += 1
+            roots, cofactor = extract_rational_factors(f)
+            assert (roots, cofactor) == ref.extract_rational_factors(f), (m, n)
+            assert rational_roots(f) == roots, (m, n)
+            for g in probes:
+                assert poly_gcd(f, g) == ref.poly_gcd(f, g), (m, n)
+    assert count == 1630

@@ -324,3 +324,33 @@ def test_value_at_accepts_ints_and_checks_the_range():
         small.value_at(9, 3)
     with pytest.raises(ValueError):
         small.value_at(-1, 3)
+
+
+# ---------------------------------------------------------------------------
+# the per-table residual memo
+
+@settings(max_examples=40, deadline=None)
+@given(pair=_probe_pairs(), c0=points)
+@example(pair=(13, 15), c0=Fraction(3))
+def test_residuals_on_a_warmed_table_equal_a_fresh_table(table, pair, c0):
+    m, n = pair
+    warm = residual_numerator(m, n, table)
+    assert residual_numerator(m, n, table) == warm   # now read from the memo
+    fresh = SymbolicTable()
+    assert warm == residual_numerator(m, n, fresh)
+    assert residual(m, n, table) == residual(m, n, SymbolicTable())
+    assert residual_numerator_at(m, n, c0, table) == residual_numerator_at(m, n, c0, SymbolicTable())
+
+
+def test_residual_memo_holds_one_pair_per_probe():
+    table = SymbolicTable()
+    for _ in range(2):
+        residual_numerator(3, 5, table)
+        residual(3, 5, table)
+        residual_numerator_at(3, 5, Fraction(2), table)
+    residual_numerator(5, 3, table)
+    assert sorted(table._residuals) == [(3, 5), (5, 3)]
+    small = SymbolicTable(8)
+    with pytest.raises(ValueError):
+        residual_numerator(3, 3, small)
+    assert small._residuals == {}

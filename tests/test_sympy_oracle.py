@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from prodrule.exactalg import Poly
+from prodrule.exactalg import Poly, poly_gcd
 from prodrule.seqengine import residual_numerator
 
 sympy = pytest.importorskip("sympy")
@@ -54,3 +54,13 @@ def test_sympy_factors_the_two_probe_numerators(table):
         assert {c, c - 1, c - 3} <= {base for base, _ in factors}
         cofactors.append(sympy.cancel(expr / linear))
     assert sympy.gcd(*cofactors) == 1
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [((3, 3), (3, 5)), ((5, 9), (6, 6)), ((4, 7), (5, 9)), ((3, 3), (9, 113)), ((31, 33), (3, 341))],
+)
+def test_poly_gcd_agrees_with_sympy(table, first, second):
+    f, g = residual_numerator(*first, table), residual_numerator(*second, table)
+    want = sympy.Poly(sympy.gcd(_expr(f), _expr(g)), c).monic()
+    assert poly_gcd(f, g) == _poly(want.as_expr())

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import prodrule.veritool as veritool
-from prodrule.seqengine import FamilyId, doubled_form, family_value, residual_numerator
+from prodrule.seqengine import FamilyId, SymbolicTable, doubled_form, family_value, residual_numerator
 from prodrule.veritool import (
     CheckFailure,
     VerifyReport,
@@ -251,6 +251,14 @@ def test_scan_matches_poly_evaluation(table, c0, max_prod):
     hits = scan_candidate(c0, max_prod, table)
     assert hits == _reference_scan(c0, max_prod, table)
     assert all(type(value) is Fraction for _, _, value in hits)
+
+
+def test_scans_on_a_warmed_table_equal_scans_on_fresh_tables():
+    warm = SymbolicTable()
+    for c0 in (Fraction(2), Fraction(3), Fraction(-7, 5), Fraction(1, 2), Fraction(0)):
+        assert scan_candidate(c0, 61, warm) == scan_candidate(c0, 61, SymbolicTable())
+    # the memo keeps one residual pair per probe 3 <= m <= n, mn <= 61
+    assert len(warm._residuals) == sum(61 // m - m + 1 for m in range(3, 8))
 
 
 @pytest.mark.parametrize(
