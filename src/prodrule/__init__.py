@@ -20,7 +20,6 @@ from .classifier import (
 from .exactalg import (
     DomainError,
     Poly,
-    Poly2,
     RatFunc,
     Rational,
     equal_up_to_scalar,
@@ -31,10 +30,8 @@ from .exactalg import (
 )
 from .seqengine import (
     DEFAULT_MAX_INDEX,
-    BivariateTable,
     FamilyId,
     SymbolicTable,
-    d_of_c,
     derive_d,
     family_value,
     residual,
@@ -54,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Branch",
     "BranchRecord",
-    "BivariateTable",
     "CheckFailure",
     "ClassificationReport",
     "ConstraintRecord",
@@ -63,7 +59,6 @@ __all__ = [
     "DomainError",
     "FamilyId",
     "Poly",
-    "Poly2",
     "RatFunc",
     "Rational",
     "SymbolicTable",
@@ -72,7 +67,6 @@ __all__ = [
     "branch_analysis",
     "cofactor_gcd_check",
     "crosscheck_specialization",
-    "d_of_c",
     "derive_d",
     "equal_up_to_scalar",
     "exact_div",

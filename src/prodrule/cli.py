@@ -6,11 +6,18 @@ stdout, and `--out PATH` additionally writes that document to a file.
 Diagnostics go to stderr.  Exit codes: 0 success (for verify and
 classify this requires every check to pass), 1 failed checks or domain
 errors, 2 usage errors, an `--out` path that cannot be written included.
+
+`run` builds the argparse parser on its first call and reuses it for
+every later call in the process; `build_parser` still returns a fresh
+one.  Parsing reads the parser and never changes it (argparse as of
+Python 3.11), and every option default is immutable, so no value carries
+over from one call to the next and threads may share the parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -262,6 +269,8 @@ def _cmd_constraints(args) -> tuple[int, dict, list[str]]:
     return 0, {"constraints": [rec.to_dict() for rec in records]}, lines
 
 
+_shared_parser = functools.cache(build_parser)
+
 _COMMANDS = {
     "derive-d": _cmd_derive_d,
     "classify": _cmd_classify,
@@ -274,9 +283,8 @@ _COMMANDS = {
 
 def run(argv=None) -> int:
     """Parse argv, execute one command, and return the exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

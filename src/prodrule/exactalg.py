@@ -8,8 +8,6 @@ denominator, so `==` is plain field equality.
 coefficient of the i-th power of the indeterminate (rendered as `c`).
 Trailing zero coefficients are stripped on construction, the zero
 polynomial stores no coefficients, and its degree is -1 by convention.
-`Poly2` layers a second indeterminate (rendered as `d`) with `Poly`
-coefficients on top; it supports ring operations only, never division.
 
 `RatFunc` is a quotient of two `Poly` values kept in a unique canonical
 form: monic denominator, gcd(num, den) constant, zero stored as 0/1.
@@ -28,8 +26,9 @@ Every value here is immutable and every operation is pure, so values can
 be shared freely across threads.
 
 `str()` renders descending powers with an explicit `^` and no `*`, for
-example `3c^3 + c`.  A quotient renders as `(num)/(den)`, omitting the
-denominator when it is 1.
+example `3c^3 + c`, reading each coefficient's numerator and denominator
+as ints.  A quotient renders as `(num)/(den)`, omitting the denominator
+when it is 1.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ Scalar = Union[int, Fraction]
 __all__ = [
     "DomainError",
     "Poly",
-    "Poly2",
     "RatFunc",
     "Rational",
     "equal_up_to_scalar",
@@ -219,25 +217,24 @@ class Poly:
         result = divmod(self, other)
         return result[1] if result is not NotImplemented else NotImplemented
 
-    def to_str(self, var: str = "c") -> str:
-        if not self.coeffs:
-            return "0"
+    def to_str(self) -> str:
+        """Descending powers of c, reading each coefficient as two ints."""
         parts: list[str] = []
-        for exp in range(self.degree, -1, -1):
+        for exp in range(len(self.coeffs) - 1, -1, -1):
             coeff = self.coeffs[exp]
-            if coeff == 0:
+            num, den = coeff.numerator, coeff.denominator
+            if not num:
                 continue
-            mag = abs(coeff)
-            if exp == 0:
-                body = str(mag)
+            mag = -num if num < 0 else num
+            body = str(mag) if den == 1 else f"{mag}/{den}"
+            if exp:
+                power = "c" if exp == 1 else f"c^{exp}"
+                body = power if mag == 1 and den == 1 else body + power
+            if parts:
+                parts.append(f"- {body}" if num < 0 else f"+ {body}")
             else:
-                power = var if exp == 1 else f"{var}^{exp}"
-                body = power if mag == 1 else f"{mag}{power}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(parts)
+                parts.append(f"-{body}" if num < 0 else body)
+        return " ".join(parts) or "0"
 
     def __str__(self) -> str:
         return self.to_str()
@@ -519,123 +516,3 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({str(self)!r})"
-
-
-def _poly2_operand(value):
-    if isinstance(value, Poly2):
-        return value
-    p = _poly_operand(value)
-    return None if p is None else Poly2((p,))
-
-
-class Poly2:
-    """Polynomial in a second indeterminate d whose coefficients are Poly values."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = []
-        for item in coeffs:
-            p = _poly_operand(item)
-            if p is None:
-                raise TypeError("Poly coefficients expected")
-            cs.append(p)
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        self.coeffs: tuple[Poly, ...] = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        """Degree in d; -1 for the zero value."""
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, j: int) -> Poly:
-        """Coefficient of d^j (zero beyond the stored degree)."""
-        return self.coeffs[j] if 0 <= j < len(self.coeffs) else Poly()
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
-    def __eq__(self, other):
-        o = _poly2_operand(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    def __hash__(self):
-        return hash(tuple(p.coeffs for p in self.coeffs))
-
-    def __neg__(self) -> "Poly2":
-        return Poly2(-p for p in self.coeffs)
-
-    def __add__(self, other):
-        o = _poly2_operand(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, p in enumerate(b):
-            out[i] = out[i] + p
-        return Poly2(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = _poly2_operand(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = _poly2_operand(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = _poly2_operand(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if not a or not b:
-            return Poly2()
-        out = [Poly() for _ in range(len(a) + len(b) - 1)]
-        for i, p in enumerate(a):
-            if not p.is_zero:
-                for j, q in enumerate(b):
-                    out[i + j] = out[i + j] + p * q
-        return Poly2(out)
-
-    __rmul__ = __mul__
-
-    def substitute(self, value: RatFunc) -> RatFunc:
-        """Evaluate at d = value, giving a rational function of c."""
-        acc = RatFunc(0)
-        for p in reversed(self.coeffs):
-            acc = acc * value + RatFunc(p)
-        return acc
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for j in range(self.degree, -1, -1):
-            p = self.coeffs[j]
-            if p.is_zero:
-                continue
-            if j == 0:
-                parts.append(f"({p})")
-            elif j == 1:
-                parts.append(f"({p})d")
-            else:
-                parts.append(f"({p})d^{j}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"Poly2({str(self)!r})"

@@ -6,20 +6,25 @@ c = T(2) and d = T(3) through two halving identities:
     T(2k)     = c T(k) + T(k-1)          for k >= 2
     T(2k - 1) = T(k) + (d - c) T(k-1)    for k >= 3
 
-`BivariateTable` runs these identities with d kept as a free
-indeterminate, so its entries are honest polynomials and no division
-ever happens.  `derive_d` equates two product-rule routes to T(18) over
-that table; the difference is linear in d and solving it pins d to
-(3c^3 + c)/D with D = c^2 + 2c - 1.  `SymbolicTable` bakes that value
-in, making every entry a rational function of c alone.
+`derive_d` runs these identities up to T(8) with d kept free, as
+polynomials in d whose coefficients are integer polynomials in c, and
+equates two product-rule routes to T(18).  The difference is linear in
+d, lin d + const = 0 with lin = D = c^2 + 2c - 1 and const = -(3c^3 + c),
+so d = (3c^3 + c)/D.  The pole identity
 
-Both tables share one memoized halving recursion and differ only in
-their seeds and combine steps.  Since d - c = (2c^3 - 2c^2 + 2c)/D,
-every entry of `SymbolicTable`, and every residual built from them, is
-P/D^e with P an integer polynomial.  The table stores exactly that pair:
-P as a tuple of Python ints (constant term first) and the exponent e.
-Entries combine by scaling with powers of the monic D and then dividing
-D out of P while it divides exactly.  D is irreducible over Q, so
+    (16c + 38)(3c^3 + c) - (48c^2 + 18c + 28) D = 28
+
+is checked by integer multiplication: it shows that 3c^3 + c and D have
+no common root, so the quotient is already in lowest terms and no gcd
+runs.  d is a constant of the problem, derived once per process.
+
+`SymbolicTable` bakes that value in, making every entry a rational
+function of c alone.  Since d - c = (2c^3 - 2c^2 + 2c)/D, every entry,
+and every residual built from them, is P/D^e with P an integer
+polynomial.  The table stores exactly that pair: P as a tuple of Python
+ints (constant term first) and the exponent e.  Entries combine by
+scaling with powers of the monic D and then dividing D out of P while
+it divides exactly.  D is irreducible over Q, so
 gcd(P, D^e) is always a power of D and no general gcd is ever needed;
 a stripped pair is already the canonical `RatFunc` P/D^e, which is
 built only when a caller asks for a symbolic value.  Evaluation at a
@@ -39,17 +44,17 @@ defined by its integer closed form u(n) = 2 T(n) (`doubled_form`), and
 from __future__ import annotations
 
 import enum
+import functools
 from collections.abc import Callable
 from fractions import Fraction
 
-from .exactalg import Poly, Poly2, RatFunc, _homogeneous_eval, poly_gcd
+# poly_gcd is unused here but stays importable: perfbench/tracer.py patches it
+from .exactalg import Poly, RatFunc, _homogeneous_eval, poly_gcd  # noqa: F401
 
 __all__ = [
     "DEFAULT_MAX_INDEX",
-    "BivariateTable",
     "FamilyId",
     "SymbolicTable",
-    "d_of_c",
     "derive_d",
     "doubled_form",
     "family_value",
@@ -70,12 +75,8 @@ C_POLY = Poly(_C)
 D_NUMER = Poly(_D_NUMER)
 D_DENOM = Poly(_D)
 
-_ONE_POLY = Poly((1,))
-
-
-def d_of_c() -> RatFunc:
-    """T(3) as a function of c, forced on every solution with T(0)=0, T(1)=1."""
-    return RatFunc(D_NUMER, D_DENOM)
+# (s, t) with s (3c^3 + c) - t D = 28: 3c^3 + c and D share no root
+_POLE_WITNESS = ((38, 16), (28, 18, 48))
 
 
 class FamilyId(enum.Enum):
@@ -196,29 +197,32 @@ def _pair_at(pair: tuple[tuple[int, ...], int], c0) -> Fraction:
     return Fraction(top, den**-shift * d_e)
 
 
-class _HalvingTable:
-    """Memo of T(n) under the halving identities, in any representation.
+class SymbolicTable:
+    """Memoized values of T(n) as rational functions of c = T(2).
 
-    Subclasses give `_seeds`, the entries T(0)..T(3), and the combine
-    steps `_even(a, b)` for T(2k) and `_odd(a, b)` for T(2k - 1), with
-    a = T(k) and b = T(k - 1).  Indices above `max_index` are refused:
-    the bound states how far a caller lets the recursion reach (`classify
-    --range` sets it), so an index past it is an error, not a silent
-    fill.  Filling mutates the cache, so give each thread its own table
-    or share one only after the indices it needs have been computed.
-    `SymbolicTable` also memoizes its residual pairs in `_residuals`, one
-    immutable pair per distinct (m, n) asked for, under the same rule.
+    Entries 0..3 are 0, 1, c and d(c); larger indices fill on demand via
+    the halving identities.  Each entry is stored as a pair (P, e) of
+    integer coefficients and a power of D, meaning P/D^e with D not
+    dividing P (see the module docstring); `value` turns it into the
+    canonical `RatFunc` without running a gcd.
+
+    Indices above `max_index` are refused: the bound states how far a
+    caller lets the recursion reach (`classify --range` sets it), so an
+    index past it is an error, not a silent fill.  Filling mutates the
+    cache, so give each thread its own table or share one only after the
+    indices it needs have been computed.  The table also memoizes its
+    residual pairs in `_residuals`, one immutable pair per distinct
+    (m, n) asked for, under the same rule.
     """
-
-    _seeds: tuple = ()
 
     def __init__(self, max_index: int = DEFAULT_MAX_INDEX):
         if max_index < 3:
             raise ValueError("max_index must be at least 3")
         self.max_index = max_index
-        self._cache = dict(enumerate(self._seeds))
+        self._cache = {0: ((), 0), 1: ((1,), 0), 2: (_C, 0), 3: (_D_NUMER, 1)}
+        self._residuals: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
 
-    def _entry(self, n: int):
+    def _entry(self, n: int) -> tuple[tuple[int, ...], int]:
         """The stored entry for T(n), after checking n is in range."""
         if n < 0:
             raise ValueError("sequence indices start at 0")
@@ -229,40 +233,19 @@ class _HalvingTable:
             )
         return self._fill(n)
 
-    def _fill(self, n: int):
+    def _fill(self, n: int) -> tuple[tuple[int, ...], int]:
         cached = self._cache.get(n)
         if cached is None:
             k = (n + 1) // 2
-            step = self._odd if n % 2 else self._even
-            cached = self._cache[n] = step(self._fill(k), self._fill(k - 1))
+            (pa, ea), (pb, eb) = self._fill(k), self._fill(k - 1)
+            if n % 2:
+                # T(k) + (d - c) T(k-1), with d - c = _D_MINUS_C / D
+                cached = _sum((pa, ea), (_mul(_D_MINUS_C, pb), eb + 1))
+            else:
+                # c T(k) + T(k-1); multiplying by c shifts the coefficients up
+                cached = _sum((_mul(_C, pa), ea), (pb, eb))
+            self._cache[n] = cached
         return cached
-
-
-class SymbolicTable(_HalvingTable):
-    """Memoized values of T(n) as rational functions of c = T(2).
-
-    Entries 0..3 are 0, 1, c and d(c); larger indices fill on demand via
-    the halving identities.  Each entry is stored as a pair (P, e) of
-    integer coefficients and a power of D, meaning P/D^e with D not
-    dividing P (see the module docstring); `value` turns it into the
-    canonical `RatFunc` without running a gcd.
-    """
-
-    _seeds = (((), 0), ((1,), 0), (_C, 0), (_D_NUMER, 1))
-
-    def __init__(self, max_index: int = DEFAULT_MAX_INDEX):
-        super().__init__(max_index)
-        self._residuals: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
-
-    @staticmethod
-    def _even(a, b):
-        # c T(k) + T(k-1); multiplying by c shifts the coefficients up
-        return _sum((_mul(_C, a[0]), a[1]), b)
-
-    @staticmethod
-    def _odd(a, b):
-        # T(k) + (d - c) T(k-1), with d - c = _D_MINUS_C / D
-        return _sum(a, (_mul(_D_MINUS_C, b[0]), b[1] + 1))
 
     def value(self, n: int) -> RatFunc:
         """T(n), computing and caching whatever the recursion touches."""
@@ -273,59 +256,74 @@ class SymbolicTable(_HalvingTable):
         return _pair_at(self._entry(n), c0)
 
 
-_C2 = Poly2((C_POLY,))
-_D_MINUS_C2 = Poly2((-C_POLY, _ONE_POLY))
+# with d free, a value is a tuple of integer polynomials in c, the
+# coefficients of d^0, d^1, ..., with no trailing zero coefficient
+def _free_sum(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for j, p in enumerate(b):
+        out[j] = _sum((out[j], 0), (p, 0))[0]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
-class BivariateTable(_HalvingTable):
-    """Memoized values of T(n) as polynomials in c and the free unknown d.
-
-    Same recursion as `SymbolicTable`, but T(3) stays the indeterminate
-    d, so entries are `Poly2` values and no denominators appear.
-    """
-
-    _seeds = (Poly2(), Poly2((_ONE_POLY,)), _C2, Poly2((Poly(), _ONE_POLY)))
-
-    @staticmethod
-    def _even(a, b):
-        return _C2 * a + b
-
-    @staticmethod
-    def _odd(a, b):
-        return a + _D_MINUS_C2 * b
-
-    def value(self, n: int) -> Poly2:
-        """T(n) with d free, computing and caching along the way."""
-        return self._entry(n)
+def _free_mul(a, b):
+    acc = ()
+    for i, p in enumerate(a):
+        acc = _free_sum(acc, ((),) * i + tuple(_mul(p, q) for q in b))
+    return acc
 
 
+_FREE_C = (_C,)
+_FREE_D_MINUS_C = (_neg(_C), (1,))
+
+
+def _free_d_entries(top: int) -> list[tuple[tuple[int, ...], ...]]:
+    """T(0), ..., T(top) by the halving identities with d = T(3) left free."""
+    t = [(), ((1,),), _FREE_C, ((), (1,))]
+    for n in range(4, top + 1):
+        a, b = t[(n + 1) // 2], t[(n - 1) // 2]
+        t.append(_free_sum(a, _free_mul(_FREE_D_MINUS_C, b)) if n % 2
+                 else _free_sum(_free_mul(_FREE_C, a), b))
+    return t
+
+
+def _t18_difference() -> tuple[tuple[int, ...], ...]:
+    """The (3, 6) route to T(18) minus the halving route, as a polynomial in d."""
+    t = _free_d_entries(8)
+    t9 = _free_sum(_free_mul(t[3], t[3]), _free_mul(t[2], t[2]))   # (3, 3) instance
+    e1 = _free_sum(_free_mul(t[3], t[6]), _free_mul(t[2], t[5]))   # (3, 6) instance
+    e2 = _free_sum(_free_mul(_FREE_C, t9), t[8])                    # T(18) = c T(9) + T(8)
+    return _free_sum(e1, tuple(_neg(p) for p in e2))
+
+
+@functools.cache
 def derive_d() -> RatFunc:
     """Recover d = T(3) as a function of c by equating two routes to T(18).
 
     Both routes keep d free.  The first expands the product-rule
     instance (3, 6); the second halves 18 after expanding the instance
     (3, 3) for T(9).  Their difference must vanish on any solution, and
-    it is linear in d because the d^2 terms agree, with d coefficient
-    c^2 + 2c - 1.  That coefficient shares no factor with the constant
-    side 3c^3 + c, so the division is legitimate and unique.  The
-    structural checks raise AssertionError on failure, which would mean
-    a bug rather than bad input.
+    it is linear in d because the d^2 terms agree: lin d + const = 0 with
+    lin = c^2 + 2c - 1, monic.  The pole identity with `_POLE_WITNESS`
+    shows that -const and lin have no common root, so -const/lin is the
+    canonical `RatFunc` and no gcd runs.  The checks raise AssertionError
+    on failure, which would mean a bug rather than bad input.  The result
+    is immutable and computed once per process.
     """
-    table = BivariateTable()
-    t2, t3 = table.value(2), table.value(3)
-    t5, t6, t8 = table.value(5), table.value(6), table.value(8)
-    t9 = t3 * t3 + t2 * t2             # product-rule route, quadratic in d
-    e1 = t3 * t6 + t2 * t5             # T(18) via the (3, 6) instance
-    e2 = _C2 * t9 + t8                 # T(18) via halving
-    diff = e1 - e2
-    if diff.degree != 1:
+    diff = _t18_difference()
+    if len(diff) != 2:
         raise AssertionError("difference of the T(18) routes is not linear in d")
-    lin, const = diff.coeff(1), diff.coeff(0)
-    if lin != D_DENOM and lin != -D_DENOM:
-        raise AssertionError("d coefficient is not c^2 + 2c - 1 up to sign")
-    if poly_gcd(const, lin).degree != 0:
-        raise AssertionError("the linear relation for d unexpectedly degenerates")
-    return RatFunc(-const, lin)
+    const, lin = diff
+    if lin != _D:
+        raise AssertionError("d coefficient is not c^2 + 2c - 1")
+    numer = _neg(const)
+    s, t = _POLE_WITNESS
+    if _sum((_mul(s, numer), 0), (_neg(_mul(t, lin)), 0)) != ((28,), 0):
+        raise AssertionError("the pole identity fails: the linear relation for d degenerates")
+    return RatFunc._from_canonical(Poly(numer), Poly(lin))
 
 
 def _residual_pair(m: int, n: int, table: SymbolicTable | None):

@@ -2,8 +2,11 @@
 
 Each is the obviously-correct slow path the integer kernel replaced:
 Euclid over Q with monic remainders, root finding by `Fraction` Horner
-evaluation and deflation, and the cofactor certificate that divides the
-shared linear factors out of each numerator.
+evaluation and deflation, the cofactor certificate that divides the
+shared linear factors out of each numerator, rendering that compares
+`Fraction` coefficients, and the derivation of d over `Poly2`, a
+polynomial in d with `Poly` coefficients, and the `BivariateTable` that
+runs the halving identities with d free.
 """
 
 import math
@@ -11,7 +14,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 
-from prodrule.exactalg import Poly, _divisors, exact_div
+from prodrule.exactalg import Poly, RatFunc, _divisors, exact_div
 
 
 def poly_gcd(f, g):
@@ -87,3 +90,170 @@ def cofactor_gcd_check(constraints):
     """The certificate as it was: the shared-root-free gcd must be constant."""
     common = shared_root_free_gcd(constraints)
     return common is not None and common.degree == 0
+
+
+def to_str(f, var="c"):
+    """`Poly` rendering by `abs`, `==` and `>` on each `Fraction` coefficient."""
+    if not f.coeffs:
+        return "0"
+    parts = []
+    for exp in range(f.degree, -1, -1):
+        coeff = f.coeffs[exp]
+        if coeff == 0:
+            continue
+        mag = abs(coeff)
+        if exp == 0:
+            body = str(mag)
+        else:
+            power = var if exp == 1 else f"{var}^{exp}"
+            body = power if mag == 1 else f"{mag}{power}"
+        if not parts:
+            parts.append(body if coeff > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def ratfunc_str(r):
+    """`RatFunc` rendering over `to_str`, omitting a denominator of 1."""
+    if r.den.degree == 0:
+        return to_str(r.num)
+    return f"({to_str(r.num)})/({to_str(r.den)})"
+
+
+def _poly_operand(value):
+    if isinstance(value, Poly):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return Poly((Fraction(value),))
+    return None
+
+
+def _poly2_operand(value):
+    if isinstance(value, Poly2):
+        return value
+    p = _poly_operand(value)
+    return None if p is None else Poly2((p,))
+
+
+class Poly2:
+    """Polynomial in a second indeterminate d whose coefficients are Poly values."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = []
+        for item in coeffs:
+            p = _poly_operand(item)
+            if p is None:
+                raise TypeError("Poly coefficients expected")
+            cs.append(p)
+        while cs and cs[-1].is_zero:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @property
+    def degree(self):
+        """Degree in d; -1 for the zero value."""
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self):
+        return not self.coeffs
+
+    def coeff(self, j):
+        """Coefficient of d^j (zero beyond the stored degree)."""
+        return self.coeffs[j] if 0 <= j < len(self.coeffs) else Poly()
+
+    def __eq__(self, other):
+        o = _poly2_operand(other)
+        if o is None:
+            return NotImplemented
+        return self.coeffs == o.coeffs
+
+    def __hash__(self):
+        return hash(tuple(p.coeffs for p in self.coeffs))
+
+    def __neg__(self):
+        return Poly2(-p for p in self.coeffs)
+
+    def __add__(self, other):
+        o = _poly2_operand(other)
+        if o is None:
+            return NotImplemented
+        a, b = self.coeffs, o.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, p in enumerate(b):
+            out[i] = out[i] + p
+        return Poly2(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = _poly2_operand(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __mul__(self, other):
+        o = _poly2_operand(other)
+        if o is None:
+            return NotImplemented
+        a, b = self.coeffs, o.coeffs
+        if not a or not b:
+            return Poly2()
+        out = [Poly() for _ in range(len(a) + len(b) - 1)]
+        for i, p in enumerate(a):
+            if not p.is_zero:
+                for j, q in enumerate(b):
+                    out[i + j] = out[i + j] + p * q
+        return Poly2(out)
+
+    __rmul__ = __mul__
+
+    def substitute(self, value):
+        """Evaluate at d = value, giving a rational function of c."""
+        acc = RatFunc(0)
+        for p in reversed(self.coeffs):
+            acc = acc * value + RatFunc(p)
+        return acc
+
+
+C2 = Poly2((Poly((0, 1)),))
+D_MINUS_C2 = Poly2((Poly((0, -1)), Poly((1,))))
+
+
+class BivariateTable:
+    """Memoized T(n) as `Poly2` values: the halving identities with T(3) = d free."""
+
+    def __init__(self):
+        self.memo = {0: Poly2(), 1: Poly2((1,)), 2: C2, 3: Poly2((0, 1))}
+
+    def value(self, n):
+        if n not in self.memo:
+            k = (n + 1) // 2
+            if n % 2:
+                self.memo[n] = self.value(k) + D_MINUS_C2 * self.value(k - 1)
+            else:
+                self.memo[n] = C2 * self.value(k) + self.value(k - 1)
+        return self.memo[n]
+
+
+def t18_relation():
+    """(lin, const) with lin d + const the (3, 6) route to T(18) minus the halving route."""
+    table = BivariateTable()
+    t2, t3 = table.value(2), table.value(3)
+    t5, t6, t8 = table.value(5), table.value(6), table.value(8)
+    t9 = t3 * t3 + t2 * t2
+    diff = (t3 * t6 + t2 * t5) - (C2 * t9 + t8)
+    assert diff.degree == 1
+    return diff.coeff(1), diff.coeff(0)
+
+
+def derive_d():
+    """d = -const/lin over `RatFunc`, with its gcd canonicalisation."""
+    lin, const = t18_relation()
+    assert poly_gcd(const, lin).degree == 0
+    return RatFunc(-const, lin)

@@ -9,12 +9,14 @@ import pytest
 import prodrule.cli as cli
 import prodrule.veritool as veritool
 from prodrule.cli import run
-from prodrule.seqengine import FamilyId, doubled_form
+from prodrule.seqengine import FamilyId, derive_d, doubled_form
 from prodrule.veritool import CheckFailure, VerifyReport
 
-# stdout of the grid verifier and the family tables before the streaming
-# verifier, and of eval before evaluation moved to integers, keyed by argv;
-# "corrupt" cases set the ceilhalf T(6) to 7/2
+# stdout and exit code keyed by argv, each generated by the code before a
+# change to that command: the grid verifier and the family tables before the
+# streaming verifier, eval before evaluation moved to integers, and derive-d,
+# classify and constraints before d was derived in integers and the parser
+# was shared; "corrupt" cases set the ceilhalf T(6) to 7/2
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_stdout.json").read_text())
 
 D_STR = "(3c^3 + c)/(c^2 + 2c - 1)"
@@ -294,3 +296,45 @@ def test_unknown_command_is_usage_error(capsys):
 def test_missing_required_arguments(capsys):
     assert run(["verify"]) == 2
     assert run(["table", "--family", "zero"]) == 2
+
+
+# one process, one parser: calls of every kind interleaved, each checked
+# against its golden entry or against the same call through a fresh parser
+REUSE_SEQUENCE = (
+    ("classify --probes 3,3;4,7 --format json", 1),
+    ("classify", 0),
+    ("classify --probes 3;5", 2),              # usage error
+    ("classify --probes 4,7;4,4;3,8", 1),      # WeakProbesError
+    ("derive-d", 0),
+    ("verify --family all --max 50", 0),
+)
+
+
+def _call(capsys, case):
+    code = run(case.split())
+    return code, capsys.readouterr().out
+
+
+def test_shared_parser_serves_interleaved_calls(capsys, monkeypatch):
+    shared = [_call(capsys, case) for case, _ in REUSE_SEQUENCE]
+    assert cli._shared_parser() is cli._shared_parser()
+    assert [code for code, _ in shared] == [code for _, code in REUSE_SEQUENCE]
+    # the default probes and format do not leak from the call before
+    default_classify = shared[1][1].splitlines()
+    assert [line for line in default_classify if line.startswith("constraint (")] == [
+        "constraint (3,3): 2c^7 - 6c^6 - c^5 + 2c^4 + 2c^3 + 4c^2 - 3c",
+        "constraint (3,5): 8c^9 - 33c^8 + 35c^7 - 35c^6 + 41c^5 - 31c^4"
+        " + 25c^3 - 13c^2 + 3c",
+    ]
+    assert derive_d() is derive_d()
+
+    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+    for (case, _), got in zip(REUSE_SEQUENCE, shared):
+        if case in GOLDEN:
+            assert got == (GOLDEN[case]["exit"], GOLDEN[case]["stdout"]), case
+        assert got == _call(capsys, case), case
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli.build_parser() is not cli._shared_parser()

@@ -14,7 +14,6 @@ import kernel_reference as ref
 from prodrule.exactalg import (
     DomainError,
     Poly,
-    Poly2,
     RatFunc,
     _homogeneous_eval,
     equal_up_to_scalar,
@@ -213,7 +212,7 @@ def test_rendering():
 
 def test_poly2_basics():
     # (d - c)^2 = d^2 - 2c d + c^2
-    dmc = Poly2((Poly((0, -1)), Poly((1,))))
+    dmc = ref.Poly2((Poly((0, -1)), Poly((1,))))
     sq = dmc * dmc
     assert sq.coeff(2) == Poly((1,))
     assert sq.coeff(1) == Poly((0, -2))
@@ -223,7 +222,7 @@ def test_poly2_basics():
 
 def test_poly2_substitute():
     # substituting d = c into d^2 - c d gives 0
-    f = Poly2((Poly(), -C, Poly((1,))))
+    f = ref.Poly2((Poly(), -C, Poly((1,))))
     assert f.substitute(RatFunc(C)).is_zero
 
 
@@ -389,3 +388,41 @@ def test_kernel_matches_the_references_on_every_probe_numerator(table):
             for g in probes:
                 assert poly_gcd(f, g) == ref.poly_gcd(f, g), (m, n)
     assert count == 1630
+
+
+# ---------------------------------------------------------------------------
+# rendering from ints against the `Fraction` rendering
+
+big_ints = st.integers(-(2**400), 2**400)
+render_coeffs = st.one_of(
+    st.just(Fraction(0)),
+    st.sampled_from([Fraction(1), Fraction(-1)]),
+    st.integers(-1000, 1000).map(Fraction),
+    st.fractions(min_value=-50, max_value=50, max_denominator=40),
+    big_ints.map(Fraction),
+    st.builds(Fraction, big_ints, st.integers(1, 2**300)),
+)
+# zero-heavy lists give gaps of zero coefficients; short ones give constants
+render_polys = st.lists(
+    st.one_of(st.just(Fraction(0)), render_coeffs), max_size=9
+).map(Poly)
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=render_polys)
+@example(f=Poly())
+@example(f=Poly((-1,)))
+@example(f=Poly((0, 0, Fraction(-1, 3), 0, 1)))
+@example(f=Poly((2**300, 0, -1)))
+def test_rendering_matches_the_fraction_reference(f):
+    assert str(f) == ref.to_str(f)
+    assert repr(f) == f"Poly({ref.to_str(f)!r})"
+
+
+@settings(max_examples=60, deadline=None)
+@given(num=render_polys, den=render_polys.filter(lambda f: not f.is_zero))
+@example(num=Poly((0, 1, 0, 3)), den=Poly((-1, 2, 1)))
+@example(num=Poly((Fraction(-7, 2),)), den=Poly((3,)))
+def test_ratfunc_rendering_matches_the_fraction_reference(num, den):
+    r = RatFunc(num, den)
+    assert str(r) == ref.ratfunc_str(r)

@@ -11,15 +11,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kernel_reference as ref
+import prodrule.seqengine as seqengine
 from prodrule.exactalg import Poly, RatFunc, poly_gcd
 from prodrule.seqengine import (
     C_POLY,
     D_DENOM,
     D_NUMER,
-    BivariateTable,
     FamilyId,
     SymbolicTable,
-    d_of_c,
     derive_d,
     doubled_form,
     family_value,
@@ -28,7 +28,7 @@ from prodrule.seqengine import (
     residual_numerator_at,
 )
 
-D = d_of_c()
+D = RatFunc(D_NUMER, D_DENOM)
 
 # frozen: numerator of residual(3, 3), expanded
 N33 = Poly((0, -3, 4, 2, 2, -1, -6, 2))
@@ -58,6 +58,45 @@ def test_derive_d_matches_closed_form():
     assert str(derive_d()) == "(3c^3 + c)/(c^2 + 2c - 1)"
 
 
+def _ints(p):
+    """The coefficients of an integral `Poly` as a tuple of ints."""
+    assert all(x.denominator == 1 for x in p.coeffs)
+    return tuple(int(x) for x in p.coeffs)
+
+
+def test_free_d_entries_match_the_bivariate_reference():
+    biv = ref.BivariateTable()
+    entries = seqengine._free_d_entries(64)
+    assert len(entries) == 65
+    for n, entry in enumerate(entries):
+        assert entry == tuple(_ints(p) for p in biv.value(n).coeffs), n
+
+
+def test_t18_relation_matches_the_reference():
+    lin, const = ref.t18_relation()
+    assert seqengine._t18_difference() == (_ints(const), _ints(lin))
+    assert (lin, const) == (D_DENOM, -D_NUMER)
+
+
+def test_derive_d_matches_the_reference_derivation():
+    want = ref.derive_d()
+    got = derive_d()
+    assert got == want
+    assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
+    assert str(got) == str(want)
+
+
+def test_derive_d_is_computed_once():
+    assert derive_d() is derive_d()
+
+
+def test_pole_identity():
+    # (16c + 38)(3c^3 + c) - (48c^2 + 18c + 28)(c^2 + 2c - 1) = 28
+    s, t = seqengine._POLE_WITNESS
+    assert Poly(s) * D_NUMER - Poly(t) * D_DENOM == Poly((28,))
+    assert (s, t) == ((38, 16), (28, 18, 48))
+
+
 def test_d_values_at_key_points():
     assert D(3) == 6
     assert D(1) == 2
@@ -66,14 +105,14 @@ def test_d_values_at_key_points():
 
 
 def test_bivariate_table_matches_symbolic_after_substitution(table):
-    biv = BivariateTable()
+    biv = ref.BivariateTable()
     for n in (5, 6, 8):
         assert biv.value(n).substitute(D) - table.value(n) == RatFunc(0)
 
 
 def test_bivariate_t5_closed_form():
     # T(5) = T(3) + (d - c) T(2) = cd - c^2 + d
-    t5 = BivariateTable().value(5)
+    t5 = ref.BivariateTable().value(5)
     assert t5.coeff(0) == Poly((0, 0, -1))
     assert t5.coeff(1) == Poly((1, 1))
     assert t5.degree == 1
@@ -212,7 +251,7 @@ def test_specializing_c_reproduces_each_resolved_family(table):
 
 
 def test_bivariate_parity_with_symbolic(table):
-    biv = BivariateTable()
+    biv = ref.BivariateTable()
     for n in range(4, 64):
         assert biv.value(n).substitute(D) - table.value(n) == RatFunc(0)
 
