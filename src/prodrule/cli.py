@@ -20,6 +20,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 from pathlib import Path
 
@@ -176,9 +177,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_derive_d(args) -> tuple[int, dict, list[str]]:
+# a command returns its exit code and two renderers, so `run` builds only
+# the output it prints: the JSON document and the text lines
+_Result = tuple[int, Callable[[], dict], Callable[[], list[str]]]
+
+
+def _cmd_derive_d(args) -> _Result:
     d = derive_d()
-    return 0, {"d": str(d)}, [str(d)]
+    return 0, lambda: {"d": str(d)}, lambda: [str(d)]
 
 
 def _classify_lines(report) -> list[str]:
@@ -200,7 +206,7 @@ def _classify_lines(report) -> list[str]:
     return lines
 
 
-def _cmd_classify(args) -> tuple[int, dict, list[str]]:
+def _cmd_classify(args) -> _Result:
     for m, n in args.probes:
         if m * n > args.range:
             raise UsageError(
@@ -212,10 +218,29 @@ def _cmd_classify(args) -> tuple[int, dict, list[str]]:
     if code:
         print("error: the probes do not certify the classification; see the failed checks",
               file=sys.stderr)
-    return code, report.to_dict(), _classify_lines(report)
+    return code, report.to_dict, lambda: _classify_lines(report)
 
 
-def _cmd_verify(args) -> tuple[int, dict, list[str]]:
+def _verify_lines(reports) -> list[str]:
+    lines = []
+    for report in reports:
+        lines.append(
+            f"{report.subject}: range {report.range}, checked {report.checked}, "
+            f"failures: {len(report.failures)}"
+        )
+        lines.extend(
+            f"  ({f.m}, {f.n}): lhs {f.lhs}, rhs {f.rhs}" for f in report.failures
+        )
+    return lines
+
+
+def _verify_doc(reports) -> dict:
+    if len(reports) == 1:
+        return reports[0].to_dict()
+    return {"reports": [report.to_dict() for report in reports]}
+
+
+def _cmd_verify(args) -> _Result:
     families = list(FamilyId) if args.family == "all" else [_FAMILIES[args.family]]
     reports = []
     code = 0
@@ -226,47 +251,40 @@ def _cmd_verify(args) -> tuple[int, dict, list[str]]:
             code = 1
             if args.format == "text":
                 break  # fail fast; json mode always aggregates all families
-    lines = []
-    for report in reports:
-        lines.append(
-            f"{report.subject}: range {report.range}, checked {report.checked}, "
-            f"failures: {len(report.failures)}"
-        )
-        lines.extend(
-            f"  ({f.m}, {f.n}): lhs {f.lhs}, rhs {f.rhs}" for f in report.failures
-        )
-    if len(reports) == 1:
-        doc = reports[0].to_dict()
-    else:
-        doc = {"reports": [report.to_dict() for report in reports]}
-    return code, doc, lines
+    return code, lambda: _verify_doc(reports), lambda: _verify_lines(reports)
 
 
-def _cmd_eval(args) -> tuple[int, dict, list[str]]:
+def _cmd_eval(args) -> _Result:
     table = SymbolicTable(max(DEFAULT_MAX_INDEX, args.n))
     value = table.value_at(args.n, args.c)
-    return 0, {"c": str(args.c), "n": args.n, "value": str(value)}, [str(value)]
+    return 0, lambda: {"c": str(args.c), "n": args.n, "value": str(value)}, lambda: [str(value)]
 
 
-def _cmd_table(args) -> tuple[int, dict, list[str]]:
+def _cmd_table(args) -> _Result:
     family = _FAMILIES[args.family]
     rows = [(n, family_value(family, n)) for n in range(args.max + 1)]
-    doc = {
-        "family": family.value,
-        "max": args.max,
-        "rows": [[n, str(v)] for n, v in rows],
-    }
-    return 0, doc, [f"{n}\t{v}" for n, v in rows]
+
+    def doc() -> dict:
+        return {
+            "family": family.value,
+            "max": args.max,
+            "rows": [[n, str(v)] for n, v in rows],
+        }
+
+    return 0, doc, lambda: [f"{n}\t{v}" for n, v in rows]
 
 
-def _cmd_constraints(args) -> tuple[int, dict, list[str]]:
+def _cmd_constraints(args) -> _Result:
     for m, n in args.pairs:
         if m * n > DEFAULT_MAX_INDEX:
             raise UsageError(f"pair ({m}, {n}) needs index {m * n}, beyond {DEFAULT_MAX_INDEX}")
     table = SymbolicTable()
     records = [ConstraintRecord.probe(m, n, table) for m, n in args.pairs]
-    lines = [line for rec in records for line in rec.lines()]
-    return 0, {"constraints": [rec.to_dict() for rec in records]}, lines
+    return (
+        0,
+        lambda: {"constraints": [rec.to_dict() for rec in records]},
+        lambda: [line for rec in records for line in rec.lines()],
+    )
 
 
 _shared_parser = functools.cache(build_parser)
@@ -298,16 +316,18 @@ def run(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.out or args.format == "json":
+        document = json.dumps(doc(), indent=2)
     if args.out:
         try:
-            Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+            Path(args.out).write_text(document + "\n")
         except (OSError, ValueError) as exc:   # ValueError: a NUL byte in the path
             print(f"error: cannot write --out: {exc}", file=sys.stderr)
             return 2
     if args.format == "json":
-        print(json.dumps(doc, indent=2))
+        print(document)
     else:
-        for line in lines:
+        for line in lines():
             print(line)
     return code
 

@@ -4,7 +4,9 @@ Closed-form families are checked exhaustively on a full square (m, n)
 grid, and symbolic specializations are checked index by index against a
 family's closed form.  The grid runs on each family's integer closed form
 u(n) = 2 T(n) (`seqengine.doubled_form`), the single source of truth for
-the family, so it needs plain integers only and O(N) memory.  The
+the family, so it needs plain integers only and O(N) memory.  The rule
+is symmetric in m and n, so the N(N+1)/2 cells with m <= n decide all N^2
+cells of the grid; a report's `checked` counts the grid cells decided.  The
 specialization checks evaluate the symbolic table at a rational c0
 through `SymbolicTable.value_at` and `residual_numerator_at`, which stay
 in integers and build one `Fraction` per value; no `Poly` or `RatFunc`
@@ -78,26 +80,32 @@ def verify_family(family: FamilyId, max_mn: int) -> VerifyReport:
     """Check T(mn) = T(m)T(n) + T(m-1)T(n-1) for every 1 <= m, n <= max_mn.
 
     Runs on the family's integer closed form u = 2T, where the rule reads
-    2 u(mn) = u(m)u(n) + u(m-1)u(n-1): O(N) memory, O(N^2) exact integer
-    checks.  u(0..N) is kept in one list, u(mn) is computed row by row,
-    and exact `Fraction` sides are built only for the cells that fail.
+    2 u(mn) = u(m)u(n) + u(m-1)u(n-1).  Both sides are symmetric in m and
+    n, so cell (n, m) is the same integer equation as cell (m, n): row m
+    decides only n = m..N, N(N+1)/2 equations from N + 1 + N(N+1)/2
+    evaluations of u, in O(N) memory.  A failing cell (m, n) is reported
+    with its mirror (n, m), both with the same exact `Fraction` sides,
+    and the failures are listed in row-major order of the full grid.
+    `checked` counts the N^2 grid cells decided, not the equations
+    evaluated.
     """
     if max_mn < 1:
         raise ValueError("max_mn must be positive")
     u = doubled_form(family)
     us = [u(k) for k in range(max_mn + 1)]
-    next_us = us[1:]
     failures: list[CheckFailure] = []
     for m in range(1, max_mn + 1):
         um, um1 = us[m], us[m - 1]
-        lhs = [2 * u(mn) for mn in range(m, m * max_mn + 1, m)]
-        rhs = [um * un + um1 * un1 for un, un1 in zip(next_us, us)]
+        lhs = [2 * u(mn) for mn in range(m * m, m * max_mn + 1, m)]
+        rhs = [um * un + um1 * un1 for un, un1 in zip(us[m:], us[m - 1:])]
         if lhs != rhs:
-            failures.extend(
-                CheckFailure(m, n, Fraction(left, 4), Fraction(right, 4))
-                for n, left, right in zip(range(1, max_mn + 1), lhs, rhs)
-                if left != right
-            )
+            for n, left, right in zip(range(m, max_mn + 1), lhs, rhs):
+                if left != right:
+                    sides = Fraction(left, 4), Fraction(right, 4)
+                    failures.append(CheckFailure(m, n, *sides))
+                    if n != m:
+                        failures.append(CheckFailure(n, m, *sides))
+    failures.sort(key=lambda f: (f.m, f.n))
     return VerifyReport(
         subject=f"family:{family.value}",
         range=max_mn,

@@ -8,6 +8,7 @@ import pytest
 
 import prodrule.cli as cli
 import prodrule.veritool as veritool
+from prodrule.classifier import ClassificationReport, ConstraintRecord
 from prodrule.cli import run
 from prodrule.seqengine import FamilyId, derive_d, doubled_form
 from prodrule.veritool import CheckFailure, VerifyReport
@@ -113,16 +114,41 @@ def test_stdout_matches_golden(capsys, case):
     assert capsys.readouterr().out == GOLDEN[case]["stdout"]
 
 
+def _corrupt(family):
+    u = doubled_form(family)
+    if family is FamilyId.CEIL_HALF:
+        return lambda n: 7 if n == 6 else u(n)
+    return u
+
+
 @pytest.mark.parametrize("case", [k for k in GOLDEN if k.startswith("corrupt ")])
 def test_failing_verify_stdout_matches_golden(capsys, monkeypatch, case):
-    def corrupt(family):
-        u = doubled_form(family)
-        if family is FamilyId.CEIL_HALF:
-            return lambda n: 7 if n == 6 else u(n)
-        return u
-
-    monkeypatch.setattr(veritool, "doubled_form", corrupt)
+    monkeypatch.setattr(veritool, "doubled_form", _corrupt)
     assert run(case.split()[1:]) == GOLDEN[case]["exit"] == 1
+    assert capsys.readouterr().out == GOLDEN[case]["stdout"]
+
+
+# what renders the text lines and what renders the JSON document
+TEXT_RENDERERS = ((cli, "_classify_lines"), (cli, "_verify_lines"), (ConstraintRecord, "lines"))
+JSON_RENDERERS = (
+    (ClassificationReport, "to_dict"),
+    (ConstraintRecord, "to_dict"),
+    (VerifyReport, "to_dict"),
+)
+
+
+@pytest.mark.parametrize("case", list(GOLDEN))
+def test_only_the_printed_output_is_rendered(capsys, monkeypatch, case):
+    def refuse(*args):
+        raise AssertionError("rendered output that is not printed")
+
+    argv = case.split()
+    if argv[0] == "corrupt":
+        monkeypatch.setattr(veritool, "doubled_form", _corrupt)
+        argv = argv[1:]
+    for owner, name in TEXT_RENDERERS if "json" in argv else JSON_RENDERERS:
+        monkeypatch.setattr(owner, name, refuse)
+    assert run(argv) == GOLDEN[case]["exit"]
     assert capsys.readouterr().out == GOLDEN[case]["stdout"]
 
 

@@ -130,6 +130,60 @@ def test_streaming_verify_matches_the_fraction_table(family, max_mn, data):
     assert report.failures == want.failures
 
 
+@st.composite
+def _two_corruptions(draw):
+    """A family, a grid bound N and two distinct indices k with bad u(k)."""
+    family = draw(st.sampled_from(list(FamilyId)))
+    max_mn = draw(st.integers(1, 40))
+    index = st.one_of(
+        st.just(0),
+        st.integers(1, max_mn).map(lambda m: m * m),
+        st.integers(0, max_mn),
+        st.integers(0, max_mn * max_mn),
+    )
+    first = draw(index)
+    second = draw(index.filter(lambda k: k != first))
+    bad = st.integers(-10**6, 10**6)
+    return family, max_mn, {first: draw(bad), second: draw(bad)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_two_corruptions())
+@example(case=(FamilyId.TRIANGULAR, 12, {0: 5, 49: -3}))
+@example(case=(FamilyId.CEIL_HALF, 9, {9: 0, 4: 7}))
+@example(case=(FamilyId.PERIOD3, 1, {0: 2, 1: 0}))
+def test_streaming_verify_matches_the_fraction_table_on_two_corruptions(case):
+    family, max_mn, bad = case
+    base = doubled_form(family)
+
+    def u(n):
+        return bad.get(n, base(n))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(veritool, "doubled_form", lambda fam: u)
+        report = verify_family(family, max_mn)
+    want = _reference_verify(family, max_mn, u)
+    assert report.to_dict() == want.to_dict()
+    assert report.failures == want.failures
+
+
+@pytest.mark.parametrize("max_mn", [1, 2, 7, 40])
+def test_grid_evaluates_u_once_per_distinct_equation(monkeypatch, max_mn):
+    base = doubled_form(FamilyId.TRIANGULAR)
+    calls = 0
+
+    def counting(n):
+        nonlocal calls
+        calls += 1
+        return base(n)
+
+    monkeypatch.setattr(veritool, "doubled_form", lambda fam: counting)
+    report = verify_family(FamilyId.TRIANGULAR, max_mn)
+    assert report.ok and report.checked == max_mn * max_mn
+    # u(0..N) once, then u(mn) once for each cell with m <= n
+    assert calls == (max_mn + 1) + max_mn * (max_mn + 1) // 2
+
+
 # 360,001 `Fraction`s alone take about 30 MiB under tracemalloc; the
 # streaming grid at N = 600 peaks near 0.1 MiB
 GRID_600_PEAK_BOUND = 512 * 1024
