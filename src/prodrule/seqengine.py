@@ -24,11 +24,13 @@ and every residual built from them, is P/D^e with P an integer
 polynomial.  The table stores exactly that pair: P as a tuple of Python
 ints (constant term first) and the exponent e.  Entries combine by
 scaling with powers of the monic D and then dividing D out of P while
-it divides exactly.  D is irreducible over Q, so
-gcd(P, D^e) is always a power of D and no general gcd is ever needed;
-a stripped pair is already the canonical `RatFunc` P/D^e, which is
-built only when a caller asks for a symbolic value.  Evaluation at a
-rational point c0 = p/q (`SymbolicTable.value_at`,
+it divides exactly.  D is irreducible over Q, so gcd(P, D^e) is always
+a power of D and no general gcd is ever needed; a stripped pair is
+already the canonical `RatFunc` P/D^e, which is built only when a
+caller asks for a symbolic value.  Like d, each entry is a constant of
+the problem: each T(n) is derived once per process and shared by all
+tables, which differ only in their reach and their residual memos.
+Evaluation at a rational point c0 = p/q (`SymbolicTable.value_at`,
 `residual_numerator_at`) stays in integers too: P and D are evaluated as
 homogenised integer sums and a single `Fraction` is built at the end, so
 no `Poly` or `RatFunc` is made.  D has no rational root, so every
@@ -197,29 +199,54 @@ def _pair_at(pair: tuple[tuple[int, ...], int], c0) -> Fraction:
     return Fraction(top, den**-shift * d_e)
 
 
+# the one entry memo, shared by all tables like _D_POWERS and seeded with
+# T(0..3); entries are immutable and a racing fill stores an equal value
+_ENTRIES = {0: ((), 0), 1: ((1,), 0), 2: (_C, 0), 3: (_D_NUMER, 1)}
+
+
+def _fill(n: int) -> tuple[tuple[int, ...], int]:
+    """The pair (P, e) of T(n) by the halving identities, memoized per process."""
+    entry = _ENTRIES.get(n)
+    if entry is None:
+        k = (n + 1) // 2
+        (pa, ea), (pb, eb) = _fill(k), _fill(k - 1)
+        if n % 2:
+            # T(k) + (d - c) T(k-1), with d - c = _D_MINUS_C / D
+            entry = _sum((pa, ea), (_mul(_D_MINUS_C, pb), eb + 1))
+        else:
+            # c T(k) + T(k-1); multiplying by c shifts the coefficients up
+            entry = _sum((_mul(_C, pa), ea), (pb, eb))
+        _ENTRIES[n] = entry
+    return entry
+
+
 class SymbolicTable:
-    """Memoized values of T(n) as rational functions of c = T(2).
+    """Values of T(n) as rational functions of c = T(2), up to a reach.
 
     Entries 0..3 are 0, 1, c and d(c); larger indices fill on demand via
     the halving identities.  Each entry is stored as a pair (P, e) of
     integer coefficients and a power of D, meaning P/D^e with D not
     dividing P (see the module docstring); `value` turns it into the
-    canonical `RatFunc` without running a gcd.
+    canonical `RatFunc` without running a gcd.  The entries live in one
+    memo shared by every table in the process: it holds one pair per
+    distinct index any table has reached, each with O(log n)
+    coefficients (about 0.7 MiB for all of T(0..1024)).
 
-    Indices above `max_index` are refused: the bound states how far a
-    caller lets the recursion reach (`classify --range` sets it), so an
-    index past it is an error, not a silent fill.  Filling mutates the
-    cache, so give each thread its own table or share one only after the
-    indices it needs have been computed.  The table also memoizes its
-    residual pairs in `_residuals`, one immutable pair per distinct
-    (m, n) asked for, under the same rule.
+    Indices above `max_index` are refused before the memo is touched:
+    the bound states how far a caller lets the recursion reach
+    (`classify --range` sets it), so an index past it is an error, not
+    a silent fill.  Shared entries are immutable and a racing fill
+    stores an equal value, so tables may fill from several threads.
+    Each table also memoizes its residual pairs in `_residuals`, one
+    immutable pair per distinct (m, n) asked for; that memo is the
+    table's own, so give each thread its own table or share one only
+    after the residuals it needs have been computed.
     """
 
     def __init__(self, max_index: int = DEFAULT_MAX_INDEX):
         if max_index < 3:
             raise ValueError("max_index must be at least 3")
         self.max_index = max_index
-        self._cache = {0: ((), 0), 1: ((1,), 0), 2: (_C, 0), 3: (_D_NUMER, 1)}
         self._residuals: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
 
     def _entry(self, n: int) -> tuple[tuple[int, ...], int]:
@@ -231,21 +258,7 @@ class SymbolicTable:
                 f"index {n} exceeds the supported range {self.max_index}; "
                 "construct the table with a larger max_index"
             )
-        return self._fill(n)
-
-    def _fill(self, n: int) -> tuple[tuple[int, ...], int]:
-        cached = self._cache.get(n)
-        if cached is None:
-            k = (n + 1) // 2
-            (pa, ea), (pb, eb) = self._fill(k), self._fill(k - 1)
-            if n % 2:
-                # T(k) + (d - c) T(k-1), with d - c = _D_MINUS_C / D
-                cached = _sum((pa, ea), (_mul(_D_MINUS_C, pb), eb + 1))
-            else:
-                # c T(k) + T(k-1); multiplying by c shifts the coefficients up
-                cached = _sum((_mul(_C, pa), ea), (pb, eb))
-            self._cache[n] = cached
-        return cached
+        return _fill(n)
 
     def value(self, n: int) -> RatFunc:
         """T(n), computing and caching whatever the recursion touches."""

@@ -5,7 +5,15 @@ divisor structure of residual denominators) were derived by hand from the
 halving identities and confirmed by independent evaluation at many points.
 """
 
+import os
+import random
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -393,3 +401,101 @@ def test_residual_memo_holds_one_pair_per_probe():
     with pytest.raises(ValueError):
         residual_numerator(3, 3, small)
     assert small._residuals == {}
+
+
+# ---------------------------------------------------------------------------
+# the entry memo shared by every table
+
+
+def _cold_entries():
+    """The entry memo as a fresh process starts it: T(0..3) only."""
+    return {n: seqengine._ENTRIES[n] for n in range(4)}
+
+
+_REACHES = (3, 16, 100, 1024, 1 << 40)
+
+
+@settings(max_examples=30, deadline=None)
+@given(requests=st.lists(st.tuples(st.integers(0, 1024), st.sampled_from(_REACHES)), min_size=1, max_size=30))
+@example(requests=[(17, 16), (1024, 1024), (1023, 3), (512, 1 << 40), (4, 3), (5, 16)])
+def test_shared_memo_matches_the_reference_in_any_order(requests):
+    tables = {reach: SymbolicTable(reach) for reach in _REACHES}
+    with mock.patch.object(seqengine, "_ENTRIES", _cold_entries()) as entries:
+        for n, reach in requests:
+            if n > reach:
+                before = dict(entries)
+                with pytest.raises(ValueError):
+                    tables[reach].value(n)
+                assert entries == before
+            else:
+                _assert_same_and_power_of_d(tables[reach].value(n), REFERENCE(n))
+        # every entry the recursion touched on the way, not only those asked for
+        for n, pair in entries.items():
+            _assert_same_and_power_of_d(seqengine._ratfunc(pair), REFERENCE(n))
+
+
+def test_a_refused_index_is_never_stored():
+    huge = (1 << 40) + 1
+    with pytest.raises(ValueError):
+        SymbolicTable(1 << 40).value(huge)
+    assert huge not in seqengine._ENTRIES
+    with mock.patch.object(seqengine, "_ENTRIES", _cold_entries()) as entries:
+        with pytest.raises(ValueError):
+            SymbolicTable(16).value_at(17, 3)
+        assert entries == _cold_entries()
+
+
+def test_threads_with_their_own_tables_fill_one_memo_consistently(monkeypatch):
+    pool_of_indices = random.Random(9).sample(range(4, 1025), 64)
+    # each thread asks for 48 of the 64, in its own order, so the sets overlap
+    requests = [random.Random(worker).sample(pool_of_indices, 48) for worker in range(4)]
+    start = threading.Barrier(4, timeout=30)
+
+    def fill(indices):
+        table = SymbolicTable()
+        start.wait()
+        return {n: table.value(n) for n in indices}
+
+    monkeypatch.setattr(seqengine, "_ENTRIES", _cold_entries())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(fill, requests))
+    finally:
+        sys.setswitchinterval(interval)
+    for values in results:
+        for n, value in values.items():
+            _assert_same_and_power_of_d(value, REFERENCE(n))
+    raced = seqengine._ENTRIES
+    # the raced memo holds exactly what one thread filling alone would store
+    monkeypatch.setattr(seqengine, "_ENTRIES", _cold_entries())
+    serial = SymbolicTable()
+    for indices in requests:
+        for n in indices:
+            serial.value(n)
+    assert raced == seqengine._ENTRIES
+
+
+_MEMO_SIZE = """
+import tracemalloc
+from prodrule import seqengine
+tracemalloc.start()
+table = seqengine.SymbolicTable(1024)
+for n in range(1025):
+    table.value_at(n, 3)
+print(len(seqengine._ENTRIES), tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_a_full_memo_to_1024_takes_under_one_mib():
+    # a fresh interpreter: the tests in this process have warmed the memo;
+    # the traced size counts the memo plus the few powers of D it needed
+    src = Path(seqengine.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", _MEMO_SIZE], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    entries, size = map(int, out.split())
+    assert entries == 1025
+    assert size < 1 << 20
