@@ -111,18 +111,6 @@ class ConstraintRecord:
             "cofactor": str(self.cofactor),
         }
 
-    def lines(self) -> list[str]:
-        """Text rendering, one list item per output line."""
-        head = f"constraint ({self.m},{self.n}): {self.numerator}"
-        if self.numerator.is_zero:
-            return [head, "  identically zero"]
-        factors = ", ".join(linear_factor_str(r, k) for r, k in self.roots)
-        return [
-            head,
-            f"  factors: {factors if factors else '(none)'}",
-            f"  cofactor: {self.cofactor}",
-        ]
-
 
 @dataclass
 class ClassificationReport:

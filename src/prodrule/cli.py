@@ -1,11 +1,13 @@
 """Command-line interface.
 
 Subcommands: derive-d, classify, verify, eval, table, constraints.
-Output is text by default; `--format json` emits one JSON document on
-stdout, and `--out PATH` additionally writes that document to a file.
-Diagnostics go to stderr.  Exit codes: 0 success (for verify and
-classify this requires every check to pass), 1 failed checks or domain
-errors, 2 usage errors, an `--out` path that cannot be written included.
+Each command builds one JSON document through the reports' `to_dict`;
+`run` prints it under `--format json`, and otherwise its text view from
+`_TEXT`, which reads the document alone.  `--out PATH` additionally
+writes the document to a file.  Diagnostics go to stderr.  Exit codes:
+0 success (for verify and classify this requires every check to pass),
+1 failed checks or probes that constrain nothing, 2 usage errors, an
+`--out` path that cannot be written included.
 
 `run` builds the argparse parser on its first call and reuses it for
 every later call in the process; `build_parser` still returns a fresh
@@ -20,12 +22,10 @@ import argparse
 import functools
 import json
 import sys
-from collections.abc import Callable
 from fractions import Fraction
 from pathlib import Path
 
 from .classifier import ConstraintRecord, WeakProbesError, solve_c
-from .exactalg import DomainError
 from .seqengine import DEFAULT_MAX_INDEX, FamilyId, SymbolicTable, derive_d, family_value
 from .veritool import verify_family
 
@@ -177,36 +177,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# a command returns its exit code and two renderers, so `run` builds only
-# the output it prints: the JSON document and the text lines
-_Result = tuple[int, Callable[[], dict], Callable[[], list[str]]]
+# a command returns its exit code and its JSON document
+def _cmd_derive_d(args) -> tuple[int, dict]:
+    return 0, {"d": str(derive_d())}
 
 
-def _cmd_derive_d(args) -> _Result:
-    d = derive_d()
-    return 0, lambda: {"d": str(d)}, lambda: [str(d)]
-
-
-def _classify_lines(report) -> list[str]:
-    lines = [f"d = {report.d_formula}"]
-    for rec in report.branches:
-        suffix = f" [{', '.join(fam.value for fam in rec.families)}]" if rec.families else ""
-        lines.append(f"branch {rec.branch.value}: {rec.conclusion}{suffix}")
-    for rec in report.constraints:
-        lines.extend(rec.lines())
-    lines.append("surviving c: " + ", ".join(str(r) for r in report.surviving_c))
-    lines.append(
-        "family map: "
-        + ", ".join(f"{r} -> {fam.value}" for r, fam in report.family_map.items())
-    )
-    lines.append(f"residual cofactor check: {'pass' if report.residual_cofactor_check else 'FAIL'}")
-    lines.append(f"cofactor gcd check: {'pass' if report.cofactor_gcd_check else 'FAIL'}")
-    lines.append("notes:")
-    lines.extend(f"  - {note}" for note in report.notes)
-    return lines
-
-
-def _cmd_classify(args) -> _Result:
+def _cmd_classify(args) -> tuple[int, dict]:
     for m, n in args.probes:
         if m * n > args.range:
             raise UsageError(
@@ -218,73 +194,92 @@ def _cmd_classify(args) -> _Result:
     if code:
         print("error: the probes do not certify the classification; see the failed checks",
               file=sys.stderr)
-    return code, report.to_dict, lambda: _classify_lines(report)
+    return code, report.to_dict()
 
 
-def _verify_lines(reports) -> list[str]:
-    lines = []
-    for report in reports:
-        lines.append(
-            f"{report.subject}: range {report.range}, checked {report.checked}, "
-            f"failures: {len(report.failures)}"
-        )
-        lines.extend(
-            f"  ({f.m}, {f.n}): lhs {f.lhs}, rhs {f.rhs}" for f in report.failures
-        )
-    return lines
-
-
-def _verify_doc(reports) -> dict:
-    if len(reports) == 1:
-        return reports[0].to_dict()
-    return {"reports": [report.to_dict() for report in reports]}
-
-
-def _cmd_verify(args) -> _Result:
+def _cmd_verify(args) -> tuple[int, dict]:
     families = list(FamilyId) if args.family == "all" else [_FAMILIES[args.family]]
     reports = []
     code = 0
     for fam in families:
         report = verify_family(fam, args.max)
-        reports.append(report)
+        reports.append(report.to_dict())
         if not report.ok:
             code = 1
             if args.format == "text":
                 break  # fail fast; json mode always aggregates all families
-    return code, lambda: _verify_doc(reports), lambda: _verify_lines(reports)
+    return code, reports[0] if len(reports) == 1 else {"reports": reports}
 
 
-def _cmd_eval(args) -> _Result:
+def _cmd_eval(args) -> tuple[int, dict]:
     table = SymbolicTable(max(DEFAULT_MAX_INDEX, args.n))
     value = table.value_at(args.n, args.c)
-    return 0, lambda: {"c": str(args.c), "n": args.n, "value": str(value)}, lambda: [str(value)]
+    return 0, {"c": str(args.c), "n": args.n, "value": str(value)}
 
 
-def _cmd_table(args) -> _Result:
+def _cmd_table(args) -> tuple[int, dict]:
     family = _FAMILIES[args.family]
-    rows = [(n, family_value(family, n)) for n in range(args.max + 1)]
-
-    def doc() -> dict:
-        return {
-            "family": family.value,
-            "max": args.max,
-            "rows": [[n, str(v)] for n, v in rows],
-        }
-
-    return 0, doc, lambda: [f"{n}\t{v}" for n, v in rows]
+    rows = [[n, str(family_value(family, n))] for n in range(args.max + 1)]
+    return 0, {"family": family.value, "max": args.max, "rows": rows}
 
 
-def _cmd_constraints(args) -> _Result:
+def _cmd_constraints(args) -> tuple[int, dict]:
     for m, n in args.pairs:
         if m * n > DEFAULT_MAX_INDEX:
             raise UsageError(f"pair ({m}, {n}) needs index {m * n}, beyond {DEFAULT_MAX_INDEX}")
     table = SymbolicTable()
     records = [ConstraintRecord.probe(m, n, table) for m, n in args.pairs]
-    return (
-        0,
-        lambda: {"constraints": [rec.to_dict() for rec in records]},
-        lambda: [line for rec in records for line in rec.lines()],
-    )
+    return 0, {"constraints": [rec.to_dict() for rec in records]}
+
+
+def _constraint_lines(rec: dict) -> list[str]:
+    head = f"constraint ({rec['m']},{rec['n']}): {rec['numerator']}"
+    if rec["numerator"] == "0":
+        return [head, "  identically zero"]
+    factors = ", ".join(rec["factors"]) or "(none)"
+    return [head, f"  factors: {factors}", f"  cofactor: {rec['cofactor']}"]
+
+
+def _classify_lines(doc: dict) -> list[str]:
+    lines = [f"d = {doc['d']}"]
+    for rec in doc["branches"]:
+        suffix = f" [{', '.join(rec['families'])}]" if rec["families"] else ""
+        lines.append(f"branch {rec['branch']}: {rec['conclusion']}{suffix}")
+    for rec in doc["constraints"]:
+        lines.extend(_constraint_lines(rec))
+    lines.append("surviving c: " + ", ".join(doc["surviving_c"]))
+    lines.append("family map: " + ", ".join(f"{r} -> {fam}" for r, fam in doc["family_map"].items()))
+    lines.append(f"residual cofactor check: {'pass' if doc['cofactor_check'] else 'FAIL'}")
+    lines.append(f"cofactor gcd check: {'pass' if doc['cofactor_gcd_check'] else 'FAIL'}")
+    lines.append("notes:")
+    lines.extend(f"  - {note}" for note in doc["notes"])
+    return lines
+
+
+def _verify_lines(doc: dict) -> list[str]:
+    lines = []
+    for report in doc.get("reports", [doc]):   # a single report is not wrapped
+        lines.append(
+            f"{report['subject']}: range {report['range']}, checked {report['checked']}, "
+            f"failures: {len(report['failures'])}"
+        )
+        lines.extend(
+            f"  ({f['m']}, {f['n']}): lhs {f['lhs']}, rhs {f['rhs']}" for f in report["failures"]
+        )
+    return lines
+
+
+# the text view of each command's document, one list item per output line
+_TEXT = {
+    "derive-d": lambda doc: [doc["d"]],
+    "classify": _classify_lines,
+    "verify": _verify_lines,
+    "eval": lambda doc: [doc["value"]],
+    "table": lambda doc: [f"{n}\t{v}" for n, v in doc["rows"]],
+    "constraints": lambda doc: [
+        line for rec in doc["constraints"] for line in _constraint_lines(rec)
+    ],
+}
 
 
 _shared_parser = functools.cache(build_parser)
@@ -306,18 +301,15 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code, doc, lines = _COMMANDS[args.command](args)
+        code, doc = _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except WeakProbesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     if args.out or args.format == "json":
-        document = json.dumps(doc(), indent=2)
+        document = json.dumps(doc, indent=2)
     if args.out:
         try:
             Path(args.out).write_text(document + "\n")
@@ -327,7 +319,7 @@ def run(argv=None) -> int:
     if args.format == "json":
         print(document)
     else:
-        for line in lines():
+        for line in _TEXT[args.command](doc):
             print(line)
     return code
 

@@ -144,7 +144,10 @@ def _d_power(e: int) -> tuple[int, ...]:
     """D^e, memoized for all tables; a racing fill stores the same value."""
     power = _D_POWERS.get(e)
     if power is None:
-        power = _D_POWERS[e] = _mul(_d_power(e - 1), _D)
+        # the keys are always 0..max, so the powers fill upward from the top
+        for j in range(len(_D_POWERS), e + 1):
+            _D_POWERS[j] = _mul(_D_POWERS[j - 1], _D)
+        power = _D_POWERS[e]
     return power
 
 
@@ -207,17 +210,25 @@ _ENTRIES = {0: ((), 0), 1: ((1,), 0), 2: (_C, 0), 3: (_D_NUMER, 1)}
 def _fill(n: int) -> tuple[tuple[int, ...], int]:
     """The pair (P, e) of T(n) by the halving identities, memoized per process."""
     entry = _ENTRIES.get(n)
-    if entry is None:
-        k = (n + 1) // 2
-        (pa, ea), (pb, eb) = _fill(k), _fill(k - 1)
-        if n % 2:
-            # T(k) + (d - c) T(k-1), with d - c = _D_MINUS_C / D
-            entry = _sum((pa, ea), (_mul(_D_MINUS_C, pb), eb + 1))
-        else:
-            # c T(k) + T(k-1); multiplying by c shifts the coefficients up
-            entry = _sum((_mul(_C, pa), ea), (pb, eb))
-        _ENTRIES[n] = entry
-    return entry
+    if entry is not None:
+        return entry
+    # no recursion, so any index fills at any recursion limit: collect the
+    # unfilled indices level by level, at most 3 per level, then fill upward
+    levels = [{n}]
+    while levels[-1]:
+        levels.append({i for m in levels[-1] for i in ((m + 1) // 2, (m - 1) // 2)
+                       if i not in _ENTRIES})
+    for level in reversed(levels):
+        for m in level:
+            k = (m + 1) // 2
+            (pa, ea), (pb, eb) = _ENTRIES[k], _ENTRIES[k - 1]
+            if m % 2:
+                # T(k) + (d - c) T(k-1), with d - c = _D_MINUS_C / D
+                _ENTRIES[m] = _sum((pa, ea), (_mul(_D_MINUS_C, pb), eb + 1))
+            else:
+                # c T(k) + T(k-1); multiplying by c shifts the coefficients up
+                _ENTRIES[m] = _sum((_mul(_C, pa), ea), (pb, eb))
+    return _ENTRIES[n]
 
 
 class SymbolicTable:

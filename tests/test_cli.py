@@ -8,16 +8,18 @@ import pytest
 
 import prodrule.cli as cli
 import prodrule.veritool as veritool
-from prodrule.classifier import ClassificationReport, ConstraintRecord
 from prodrule.cli import run
+from prodrule.exactalg import Poly
 from prodrule.seqengine import FamilyId, derive_d, doubled_form
 from prodrule.veritool import CheckFailure, VerifyReport
 
-# stdout and exit code keyed by argv, each generated by the code before a
-# change to that command: the grid verifier and the family tables before the
-# streaming verifier, eval before evaluation moved to integers, and derive-d,
-# classify and constraints before d was derived in integers and the parser
-# was shared; "corrupt" cases set the ceilhalf T(6) to 7/2
+# exit code, stdout, stderr and the `--out` file keyed by argv, each generated
+# by the code before a change to that command: the grid verifier and the
+# family tables before the streaming verifier, eval before evaluation moved to
+# integers, derive-d, classify and constraints before d was derived in
+# integers and the parser was shared, and the single-family verify cases,
+# stderr and `--out` files before text became a view of the JSON document;
+# "corrupt" cases set the ceilhalf T(6) to 7/2
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_stdout.json").read_text())
 
 D_STR = "(3c^3 + c)/(c^2 + 2c - 1)"
@@ -108,10 +110,15 @@ def test_verify_json_mode_aggregates_all_failures(capsys, monkeypatch):
     assert all(len(r["failures"]) == 1 for r in doc["reports"])
 
 
+def _assert_golden_output(capsys, case):
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (GOLDEN[case]["stdout"], GOLDEN[case]["stderr"])
+
+
 @pytest.mark.parametrize("case", [k for k in GOLDEN if not k.startswith("corrupt ")])
 def test_stdout_matches_golden(capsys, case):
     assert run(case.split()) == GOLDEN[case]["exit"]
-    assert capsys.readouterr().out == GOLDEN[case]["stdout"]
+    _assert_golden_output(capsys, case)
 
 
 def _corrupt(family):
@@ -125,31 +132,55 @@ def _corrupt(family):
 def test_failing_verify_stdout_matches_golden(capsys, monkeypatch, case):
     monkeypatch.setattr(veritool, "doubled_form", _corrupt)
     assert run(case.split()[1:]) == GOLDEN[case]["exit"] == 1
-    assert capsys.readouterr().out == GOLDEN[case]["stdout"]
+    _assert_golden_output(capsys, case)
 
 
-# what renders the text lines and what renders the JSON document
-TEXT_RENDERERS = ((cli, "_classify_lines"), (cli, "_verify_lines"), (ConstraintRecord, "lines"))
-JSON_RENDERERS = (
-    (ClassificationReport, "to_dict"),
-    (ConstraintRecord, "to_dict"),
-    (VerifyReport, "to_dict"),
-)
-
-
-@pytest.mark.parametrize("case", list(GOLDEN))
-def test_only_the_printed_output_is_rendered(capsys, monkeypatch, case):
-    def refuse(*args):
-        raise AssertionError("rendered output that is not printed")
-
+def _golden_argv(case, monkeypatch):
+    """The argv of a golden case, corrupting ceilhalf for a "corrupt" case."""
     argv = case.split()
     if argv[0] == "corrupt":
         monkeypatch.setattr(veritool, "doubled_form", _corrupt)
         argv = argv[1:]
-    for owner, name in TEXT_RENDERERS if "json" in argv else JSON_RENDERERS:
-        monkeypatch.setattr(owner, name, refuse)
+    return argv
+
+
+@pytest.mark.parametrize("case", list(GOLDEN))
+def test_out_file_matches_golden(capsys, monkeypatch, tmp_path, case):
+    # in text mode a failing `verify --family all` writes the reports up to
+    # the one that stopped it, exactly as it prints them
+    target = tmp_path / "report.json"
+    argv = _golden_argv(case, monkeypatch) + ["--out", str(target)]
     assert run(argv) == GOLDEN[case]["exit"]
-    assert capsys.readouterr().out == GOLDEN[case]["stdout"]
+    _assert_golden_output(capsys, case)
+    assert target.read_text() == GOLDEN[case]["out"]
+
+
+def _twin(argv):
+    """The same call in the other output format."""
+    return argv[:-2] if argv[-2:] == ["--format", "json"] else argv + ["--format", "json"]
+
+
+@pytest.mark.parametrize("case", list(GOLDEN))
+def test_only_the_printed_output_is_rendered(capsys, monkeypatch, case):
+    # JSON mode runs no text view, and text mode renders no polynomial the
+    # JSON document does not: the text view only reads the document's strings
+    def refuse(doc):
+        raise AssertionError("rendered a text view that is not printed")
+
+    render = Poly.to_str
+    argv = _golden_argv(case, monkeypatch)
+    rendered = {}
+    for call in (argv, _twin(argv)):
+        polys = []
+        with monkeypatch.context() as patch:
+            patch.setattr(Poly, "to_str", lambda poly: polys.append(poly) or render(poly))
+            if "json" in call:
+                patch.setattr(cli, "_TEXT", dict.fromkeys(cli._TEXT, refuse))
+            assert run(call) == GOLDEN[case]["exit"]
+        if call is argv:
+            assert capsys.readouterr().out == GOLDEN[case]["stdout"]
+        rendered["json" in call] = len(polys)
+    assert rendered[True] == rendered[False]
 
 
 def test_classify_text_report(capsys):

@@ -499,3 +499,43 @@ def test_a_full_memo_to_1024_takes_under_one_mib():
     entries, size = map(int, out.split())
     assert entries == 1025
     assert size < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# deep indices: the halving chain and the powers of D fill without recursion
+
+_DEEP = """
+import sys
+from prodrule.seqengine import SymbolicTable
+n = 2**150
+table = SymbolicTable(n)
+sys.setrecursionlimit(60)
+assert table.value_at(n, 3) == n * (n + 1) // 2
+assert table.value(n)(3) == n * (n + 1) // 2
+print("ok")
+"""
+
+
+def test_a_deep_index_fills_under_a_tiny_recursion_limit():
+    # a fresh interpreter, so the memo is cold and the whole chain of 150
+    # levels, and D^148, fill from the seeds
+    src = Path(seqengine.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", _DEEP], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "ok\n"
+
+
+def test_sparse_deep_fills_in_random_order_match_the_reference():
+    indices = random.Random(11).sample(range(4, 1 << 16), 20)
+    table = SymbolicTable(1 << 16)
+    with mock.patch.object(seqengine, "_ENTRIES", _cold_entries()) as entries, \
+            mock.patch.object(seqengine, "_D_POWERS", {0: (1,)}) as powers:
+        for n in indices:
+            _assert_same_and_power_of_d(table.value(n), REFERENCE(n))
+        for n, pair in entries.items():
+            _assert_same_and_power_of_d(seqengine._ratfunc(pair), REFERENCE(n))
+        assert sorted(powers) == list(range(len(powers)))
+        for e, power in powers.items():
+            assert Poly(power) == D_DENOM**e
