@@ -7,7 +7,9 @@ Each command builds one JSON document through the reports' `to_dict`;
 writes the document to a file.  Diagnostics go to stderr.  Exit codes:
 0 success (for verify and classify this requires every check to pass),
 1 failed checks or probes that constrain nothing, 2 usage errors, an
-`--out` path that cannot be written included.
+`--out` path that cannot be written included; `main` also exits 2 when
+stdout is closed before the output is written, as in `prodrule table
+... | head -1`.
 
 `run` builds the argparse parser on its first call and reuses it for
 every later call in the process; `build_parser` still returns a fresh
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -325,7 +328,16 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader closed stdout: send what is left to devnull, so the
+        # interpreter's own flush at exit stays silent, and report once
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

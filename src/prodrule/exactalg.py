@@ -1,13 +1,18 @@
 """Exact arithmetic over the rationals: polynomials and rational functions.
 
-Scalars are arbitrary-precision `fractions.Fraction` values, re-exported
-as `Rational`; they are always in lowest terms with a positive
-denominator, so `==` is plain field equality.
+Scalars are Python ints and arbitrary-precision `fractions.Fraction`
+values (re-exported as `Rational`), always in lowest terms with a
+positive denominator.  An int equals and hashes like the `Fraction` of
+the same value, so `==` is plain field equality across the two, and
+every division of coefficients builds a `Fraction`, never a float.
 
 `Poly` is a dense univariate polynomial: `coeffs[i]` holds the
-coefficient of the i-th power of the indeterminate (rendered as `c`).
-Trailing zero coefficients are stripped on construction, the zero
-polynomial stores no coefficients, and its degree is -1 by convention.
+coefficient of the i-th power of the indeterminate (rendered as `c`),
+stored as given, so ints stay ints.  Trailing zero coefficients are
+stripped on construction, the zero polynomial stores no coefficients,
+and its degree is -1 by convention.  `+`, `-` and `*` run on the
+coefficient-tuple helpers `_add`, `_neg` and `_mul`, which `seqengine`
+shares for its integer tables.
 
 `RatFunc` is a quotient of two `Poly` values kept in a unique canonical
 form: monic denominator, gcd(num, den) constant, zero stored as 0/1.
@@ -60,12 +65,41 @@ class DomainError(ArithmeticError):
     """Evaluation at a point where a denominator vanishes."""
 
 
-def _coeff(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _coeff(value: Scalar) -> Scalar:
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     raise TypeError(f"rational coefficient expected, not {type(value).__name__}")
+
+
+# coefficient tuples, constant term first: the helpers use only +, - and *,
+# so the coefficients may be ints, Fractions or Polys
+def _add(a: tuple, b: tuple) -> tuple:
+    """The sum of two coefficient tuples, trailing zeros stripped."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, x in enumerate(b):
+        out[i] += x
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _neg(a: tuple) -> tuple:
+    return tuple(-x for x in a)
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    """The product of two stripped coefficient tuples (over a domain, so stripped too)."""
+    if not a or not b:
+        return ()
+    # a slot no product reaches keeps the coefficients' own zero
+    out = [a[-1] * 0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
 
 
 def _poly_operand(value):
@@ -73,12 +107,16 @@ def _poly_operand(value):
     if isinstance(value, Poly):
         return value
     if isinstance(value, (int, Fraction)):
-        return Poly((Fraction(value),))
+        return Poly((value,))
     return None
 
 
 class Poly:
-    """Dense univariate polynomial over the rationals."""
+    """Dense univariate polynomial with int or `Fraction` coefficients.
+
+    Forms that differ only in int against `Fraction` coefficients are
+    `==` and hash alike; `monic` and `divmod` divide by building `Fraction`s.
+    """
 
     __slots__ = ("coeffs",)
 
@@ -86,7 +124,7 @@ class Poly:
         cs = [_coeff(x) for x in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.coeffs: tuple[Scalar, ...] = tuple(cs)
 
     @property
     def degree(self) -> int:
@@ -97,7 +135,7 @@ class Poly:
         return not self.coeffs
 
     @property
-    def leading(self) -> Fraction:
+    def leading(self) -> Scalar:
         """Leading coefficient; 0 for the zero polynomial."""
         return self.coeffs[-1] if self.coeffs else _ZERO
 
@@ -106,7 +144,7 @@ class Poly:
         lc = self.leading
         if lc == 0 or lc == 1:
             return self
-        inv = 1 / lc
+        inv = Fraction(1, lc)
         return Poly(x * inv for x in self.coeffs)
 
     def __call__(self, x: Scalar) -> Fraction:
@@ -132,47 +170,25 @@ class Poly:
         return hash(self.coeffs)
 
     def __neg__(self) -> "Poly":
-        return Poly(-x for x in self.coeffs)
+        return Poly(_neg(self.coeffs))
 
     def __add__(self, other):
         o = _poly_operand(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] += x
-        return Poly(out)
+        return NotImplemented if o is None else Poly(_add(self.coeffs, o.coeffs))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = _poly_operand(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return NotImplemented if o is None else Poly(_add(self.coeffs, _neg(o.coeffs)))
 
     def __rsub__(self, other):
         o = _poly_operand(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return NotImplemented if o is None else Poly(_add(o.coeffs, _neg(self.coeffs)))
 
     def __mul__(self, other):
         o = _poly_operand(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if not a or not b:
-            return Poly()
-        out = [_ZERO] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return Poly(out)
+        return NotImplemented if o is None else Poly(_mul(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
@@ -200,7 +216,7 @@ class Poly:
         rem = list(self.coeffs)
         shift = self.degree - o.degree
         quo = [_ZERO] * (shift + 1)
-        inv = 1 / o.leading
+        inv = Fraction(1, o.leading)
         for i in range(shift, -1, -1):
             q = rem[i + o.degree] * inv
             if q:
@@ -405,7 +421,7 @@ def extract_rational_factors(f: Poly) -> tuple[tuple[tuple[Fraction, int], ...],
     scaled to f's leading coefficient, so no second deflation runs.
     """
     roots, work = _split_roots(f)
-    scale = f.leading / work[-1]
+    scale = Fraction(f.leading, work[-1])
     return roots, Poly(x * scale for x in work)
 
 
@@ -437,7 +453,7 @@ class RatFunc:
                 den = exact_div(den, common)
             lc = den.leading
             if lc != 1:
-                inv = 1 / lc
+                inv = Fraction(1, lc)
                 num = num * inv
                 den = den * inv
         self.num: Poly = num

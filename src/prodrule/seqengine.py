@@ -7,29 +7,30 @@ c = T(2) and d = T(3) through two halving identities:
     T(2k - 1) = T(k) + (d - c) T(k-1)    for k >= 3
 
 `derive_d` runs these identities up to T(8) with d kept free, as
-polynomials in d whose coefficients are integer polynomials in c, and
+polynomials in d whose coefficients are integer `Poly`s in c, and
 equates two product-rule routes to T(18).  The difference is linear in
 d, lin d + const = 0 with lin = D = c^2 + 2c - 1 and const = -(3c^3 + c),
 so d = (3c^3 + c)/D.  The pole identity
 
     (16c + 38)(3c^3 + c) - (48c^2 + 18c + 28) D = 28
 
-is checked by integer multiplication: it shows that 3c^3 + c and D have
-no common root, so the quotient is already in lowest terms and no gcd
-runs.  d is a constant of the problem, derived once per process.
+is checked by integer `Poly` multiplication: it shows that 3c^3 + c and
+D have no common root, so the quotient is already in lowest terms and no
+gcd runs.  d is a constant of the problem, derived once per process.
 
 `SymbolicTable` bakes that value in, making every entry a rational
 function of c alone.  Since d - c = (2c^3 - 2c^2 + 2c)/D, every entry,
 and every residual built from them, is P/D^e with P an integer
 polynomial.  The table stores exactly that pair: P as a tuple of Python
-ints (constant term first) and the exponent e.  Entries combine by
-scaling with powers of the monic D and then dividing D out of P while
-it divides exactly.  D is irreducible over Q, so gcd(P, D^e) is always
-a power of D and no general gcd is ever needed; a stripped pair is
-already the canonical `RatFunc` P/D^e, which is built only when a
-caller asks for a symbolic value.  Like d, each entry is a constant of
-the problem: each T(n) is derived once per process and shared by all
-tables, which differ only in their reach and their residual memos.
+ints (constant term first) and the exponent e.  Entries combine by the
+coefficient-tuple helpers `Poly` runs on, scaling with powers of the
+monic D and then dividing D out of P while it divides exactly.  D is
+irreducible over Q, so gcd(P, D^e) is always a power of D and no
+general gcd is ever needed; a stripped pair is already the canonical
+`RatFunc` P/D^e, which is built only when a caller asks for a symbolic
+value.  Like d, each entry is a constant of the problem: each T(n) is
+derived once per process and shared by all tables, which differ only in
+their reach and their residual memos.
 Evaluation at a rational point c0 = p/q (`SymbolicTable.value_at`,
 `residual_numerator_at`) stays in integers too: P and D are evaluated as
 homogenised integer sums and a single `Fraction` is built at the end, so
@@ -51,7 +52,7 @@ from collections.abc import Callable
 from fractions import Fraction
 
 # poly_gcd is unused here but stays importable: perfbench/tracer.py patches it
-from .exactalg import Poly, RatFunc, _homogeneous_eval, poly_gcd  # noqa: F401
+from .exactalg import Poly, RatFunc, _add, _homogeneous_eval, _mul, _neg, poly_gcd  # noqa: F401
 
 __all__ = [
     "DEFAULT_MAX_INDEX",
@@ -122,21 +123,6 @@ def family_value(family: FamilyId, n: int) -> Fraction:
     return Fraction(doubled_form(family)(n), 2)
 
 
-def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
-
-
-def _neg(a: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-x for x in a)
-
-
 _D_POWERS = {0: (1,)}
 
 
@@ -151,10 +137,8 @@ def _d_power(e: int) -> tuple[int, ...]:
     return power
 
 
-def _strip_d(p: list[int], e: int) -> tuple[tuple[int, ...], int]:
+def _strip_d(p: tuple[int, ...], e: int) -> tuple[tuple[int, ...], int]:
     """Reduce P/D^e by dividing D out of P while it divides exactly."""
-    while p and not p[-1]:
-        p.pop()
     while e and len(p) > 2:
         # synthetic division by the monic quadratic D = c^2 + 2c - 1
         rem = list(p)
@@ -164,21 +148,16 @@ def _strip_d(p: list[int], e: int) -> tuple[tuple[int, ...], int]:
             rem[i - 2] += q
         if rem[0] or rem[1]:
             break
-        p, e = rem[2:], e - 1
-    return (tuple(p), e) if p else ((), 0)
+        p, e = tuple(rem[2:]), e - 1
+    return (p, e) if p else ((), 0)
 
 
 def _sum(*terms: tuple[tuple[int, ...], int]) -> tuple[tuple[int, ...], int]:
     """The sum of several P/D^e pairs, over their largest exponent."""
     top = max(e for _, e in terms)
-    acc: list[int] = []
+    acc: tuple[int, ...] = ()
     for p, e in terms:
-        if e < top:
-            p = _mul(p, _d_power(top - e))
-        if len(p) > len(acc):
-            acc.extend([0] * (len(p) - len(acc)))
-        for i, x in enumerate(p):
-            acc[i] += x
+        acc = _add(acc, p if e == top else _mul(p, _d_power(top - e)))
     return _strip_d(acc, top)
 
 
@@ -280,47 +259,31 @@ class SymbolicTable:
         return _pair_at(self._entry(n), c0)
 
 
-# with d free, a value is a tuple of integer polynomials in c, the
-# coefficients of d^0, d^1, ..., with no trailing zero coefficient
-def _free_sum(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for j, p in enumerate(b):
-        out[j] = _sum((out[j], 0), (p, 0))[0]
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+# with d free, a value is a tuple of integer `Poly`s in c, the coefficients
+# of d^0, d^1, ..., with no trailing zero; the coefficient-tuple helpers
+# combine such tuples as they combine tuples of ints
+_ONE = Poly((1,))
+_FREE_C = (C_POLY,)
+_FREE_D_MINUS_C = (-C_POLY, _ONE)
 
 
-def _free_mul(a, b):
-    acc = ()
-    for i, p in enumerate(a):
-        acc = _free_sum(acc, ((),) * i + tuple(_mul(p, q) for q in b))
-    return acc
-
-
-_FREE_C = (_C,)
-_FREE_D_MINUS_C = (_neg(_C), (1,))
-
-
-def _free_d_entries(top: int) -> list[tuple[tuple[int, ...], ...]]:
+def _free_d_entries(top: int) -> list[tuple[Poly, ...]]:
     """T(0), ..., T(top) by the halving identities with d = T(3) left free."""
-    t = [(), ((1,),), _FREE_C, ((), (1,))]
+    t = [(), (_ONE,), _FREE_C, (Poly(), _ONE)]
     for n in range(4, top + 1):
         a, b = t[(n + 1) // 2], t[(n - 1) // 2]
-        t.append(_free_sum(a, _free_mul(_FREE_D_MINUS_C, b)) if n % 2
-                 else _free_sum(_free_mul(_FREE_C, a), b))
+        t.append(_add(a, _mul(_FREE_D_MINUS_C, b)) if n % 2
+                 else _add(_mul(_FREE_C, a), b))
     return t
 
 
-def _t18_difference() -> tuple[tuple[int, ...], ...]:
+def _t18_difference() -> tuple[Poly, ...]:
     """The (3, 6) route to T(18) minus the halving route, as a polynomial in d."""
     t = _free_d_entries(8)
-    t9 = _free_sum(_free_mul(t[3], t[3]), _free_mul(t[2], t[2]))   # (3, 3) instance
-    e1 = _free_sum(_free_mul(t[3], t[6]), _free_mul(t[2], t[5]))   # (3, 6) instance
-    e2 = _free_sum(_free_mul(_FREE_C, t9), t[8])                    # T(18) = c T(9) + T(8)
-    return _free_sum(e1, tuple(_neg(p) for p in e2))
+    t9 = _add(_mul(t[3], t[3]), _mul(t[2], t[2]))   # (3, 3) instance
+    e1 = _add(_mul(t[3], t[6]), _mul(t[2], t[5]))   # (3, 6) instance
+    e2 = _add(_mul(_FREE_C, t9), t[8])               # T(18) = c T(9) + T(8)
+    return _add(e1, _neg(e2))
 
 
 @functools.cache
@@ -341,13 +304,12 @@ def derive_d() -> RatFunc:
     if len(diff) != 2:
         raise AssertionError("difference of the T(18) routes is not linear in d")
     const, lin = diff
-    if lin != _D:
+    if lin != D_DENOM:
         raise AssertionError("d coefficient is not c^2 + 2c - 1")
-    numer = _neg(const)
     s, t = _POLE_WITNESS
-    if _sum((_mul(s, numer), 0), (_neg(_mul(t, lin)), 0)) != ((28,), 0):
+    if Poly(s) * const + Poly(t) * lin != -28:
         raise AssertionError("the pole identity fails: the linear relation for d degenerates")
-    return RatFunc._from_canonical(Poly(numer), Poly(lin))
+    return RatFunc._from_canonical(-const, lin)
 
 
 def _residual_pair(m: int, n: int, table: SymbolicTable | None):

@@ -1,6 +1,9 @@
 """End-to-end CLI tests driven through run(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -395,3 +398,19 @@ def test_shared_parser_serves_interleaved_calls(capsys, monkeypatch):
 def test_build_parser_returns_a_fresh_parser():
     assert cli.build_parser() is not cli.build_parser()
     assert cli.build_parser() is not cli._shared_parser()
+
+
+def test_a_closed_stdout_exits_2_with_one_line():
+    # a fresh interpreter through main, read as `prodrule table ... | head -1`
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = ["table", "--family", "triangular", "--max", "200000"]
+    with subprocess.Popen([sys.executable, "-m", "prodrule.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline() == "0\t0\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error: cannot write stdout: ")
+    assert "Traceback" not in err

@@ -15,7 +15,10 @@ from prodrule.exactalg import (
     DomainError,
     Poly,
     RatFunc,
+    _add,
     _homogeneous_eval,
+    _mul,
+    _neg,
     equal_up_to_scalar,
     extract_rational_factors,
     poly_gcd,
@@ -34,6 +37,8 @@ def test_normalize_strips_trailing_zeros():
     assert Poly((5, 0, 0)).coeffs == (Fraction(5),)
     assert Poly((0, 0)).coeffs == ()
     assert Poly((-1, 2, 1)).coeffs == (Fraction(-1), Fraction(2), Fraction(1))
+    # coefficients are stored as given: ints stay ints
+    assert [type(x) for x in Poly((1, 2, Fraction(1, 2))).coeffs] == [int, int, Fraction]
 
 
 def test_zero_polynomial_has_degree_minus_one():
@@ -45,6 +50,10 @@ def test_zero_polynomial_has_degree_minus_one():
 def test_coefficients_must_be_exact():
     with pytest.raises(TypeError):
         Poly((0.5,))
+    with pytest.raises(TypeError):
+        Poly((1, 2))(0.5)
+    with pytest.raises(TypeError):
+        RatFunc(NUMER, DENOM)(0.5)
 
 
 def test_mul_by_zero_annihilates():
@@ -398,8 +407,10 @@ render_coeffs = st.one_of(
     st.just(Fraction(0)),
     st.sampled_from([Fraction(1), Fraction(-1)]),
     st.integers(-1000, 1000).map(Fraction),
+    st.integers(-1000, 1000),
     st.fractions(min_value=-50, max_value=50, max_denominator=40),
     big_ints.map(Fraction),
+    big_ints,
     st.builds(Fraction, big_ints, st.integers(1, 2**300)),
 )
 # zero-heavy lists give gaps of zero coefficients; short ones give constants
@@ -426,3 +437,113 @@ def test_rendering_matches_the_fraction_reference(f):
 def test_ratfunc_rendering_matches_the_fraction_reference(num, den):
     r = RatFunc(num, den)
     assert str(r) == ref.ratfunc_str(r)
+
+
+# ---------------------------------------------------------------------------
+# exactness: int coefficients stay exact through every operation, since each
+# coefficient division builds a Fraction and never an int / int float
+
+small_ints = st.integers(-12, 12)
+exact_scalars = st.one_of(small_ints, rationals)
+int_polys = st.lists(small_ints, max_size=6).map(Poly)
+exact_polys = st.one_of(int_polys, st.lists(exact_scalars, max_size=6).map(Poly))
+
+
+def _exact_poly(f):
+    return isinstance(f, Poly) and all(type(x) in (int, Fraction) for x in f.coeffs)
+
+
+def _exact_ratfunc(r):
+    return isinstance(r, RatFunc) and _exact_poly(r.num) and _exact_poly(r.den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=exact_polys, g=exact_polys, h=exact_polys.filter(lambda f: not f.is_zero),
+       x=exact_scalars)
+@example(f=Poly((1, 2)), g=Poly((0, 2)), h=Poly((3,)), x=2)
+@example(f=Poly((2, 0, 4)), g=Poly((-1, 3)), h=Poly((0, 2)), x=Fraction(1, 2))
+def test_int_and_mixed_coefficients_stay_exact(f, g, h, x):
+    polys = [f + g, f - g, g - f, -f, f * g, f + 1, 1 - f, f * 2, f.monic(), h.monic(),
+             *divmod(f, h), f // h, f % h]
+    if not (f.is_zero and g.is_zero):
+        polys.append(poly_gcd(f, g))
+    if not f.is_zero:
+        roots, cofactor = extract_rational_factors(f)
+        polys.append(cofactor)
+        assert all(type(root) is Fraction for root, _ in roots)
+        assert all(type(root) is Fraction for root, _ in rational_roots(f))
+    assert all(_exact_poly(p) for p in polys)
+    assert type(f(x)) is Fraction
+
+    a, b = RatFunc(f, h), RatFunc(g, h * h + 1)
+    rats = [a, b, RatFunc(f), a + b, a - b, a * b, -a, a + 1, 2 - a, a * 3]
+    assert all(_exact_ratfunc(r) for r in rats)
+    for r in rats:
+        if r.den(x) != 0:
+            assert type(r(x)) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# the coefficient-tuple helpers against evaluation: `kernel_reference` builds
+# on `Poly`, which runs on these helpers, so a polynomial of degree < k is
+# refereed here by its values at k points, computed by a Horner loop of its own
+
+coeff_tuples = st.lists(exact_scalars, max_size=6).map(
+    lambda cs: tuple(cs[: max((i + 1 for i, x in enumerate(cs) if x), default=0)])
+)
+
+
+def _horner(coeffs, x):
+    acc = Fraction(0)
+    for a in reversed(coeffs):
+        acc = acc * x + a
+    return acc
+
+
+def _is_poly_with_values(got, size, value):
+    """got is stripped, has at most size coefficients and agrees with value at size points."""
+    if len(got) > size or (got and got[-1] == 0):
+        return False
+    points = [Fraction(2 * i - 3, 3) for i in range(size)]
+    return all(_horner(got, x) == value(x) for x in points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=coeff_tuples, b=coeff_tuples)
+@example(a=(), b=())
+@example(a=(1, 2), b=(-1, -2))
+@example(a=(0, 1), b=(0, -1, 0, 1))
+def test_coefficient_helpers_match_evaluation(a, b):
+    def fa(x):
+        return _horner(a, x)
+
+    def fb(x):
+        return _horner(b, x)
+
+    width, product = max(len(a), len(b)), max(len(a) + len(b) - 1, 0)
+    f, g = Poly(a), Poly(b)
+    assert _is_poly_with_values(_add(a, b), width, lambda x: fa(x) + fb(x))
+    assert _is_poly_with_values(_neg(a), len(a), lambda x: -fa(x))
+    assert _is_poly_with_values(_mul(a, b), product, lambda x: fa(x) * fb(x))
+    assert _is_poly_with_values((f + g).coeffs, width, lambda x: fa(x) + fb(x))
+    assert _is_poly_with_values((f - g).coeffs, width, lambda x: fa(x) - fb(x))
+    assert _is_poly_with_values((-f).coeffs, len(a), lambda x: -fa(x))
+    assert _is_poly_with_values((f * g).coeffs, product, lambda x: fa(x) * fb(x))
+
+
+@settings(max_examples=100, deadline=None)
+@given(num=st.lists(small_ints, max_size=5), den=st.lists(small_ints, max_size=4))
+@example(num=[3], den=[])
+@example(num=[0, 1, 0, 3], den=[-1, 2])
+def test_int_and_fraction_forms_are_one_key(num, den):
+    den = [*den, 1]   # monic, so an int denominator may stay int
+    pairs = [(Poly(num), Poly(map(Fraction, num))),
+             (RatFunc(Poly(num), Poly(den)), RatFunc(Poly(map(Fraction, num)), Poly(map(Fraction, den))))]
+    for ints, fracs in pairs:
+        assert ints == fracs and fracs == ints
+        assert hash(ints) == hash(fracs)
+        assert {ints: "v"}[fracs] == "v" and {fracs: "v"}[ints] == "v"
+    if len(Poly(num).coeffs) <= 1:
+        # constants also equal, hash like and find their scalar value
+        k = Poly(num).leading
+        assert {k: "v"}[Poly(num)] == "v" and {Poly(num): "v"}[Fraction(k)] == "v"

@@ -66,10 +66,9 @@ def test_derive_d_matches_closed_form():
     assert str(derive_d()) == "(3c^3 + c)/(c^2 + 2c - 1)"
 
 
-def _ints(p):
-    """The coefficients of an integral `Poly` as a tuple of ints."""
-    assert all(x.denominator == 1 for x in p.coeffs)
-    return tuple(int(x) for x in p.coeffs)
+def _all_int(polys):
+    """True when every coefficient of every `Poly` in polys is an int."""
+    return all(type(x) is int for p in polys for x in p.coeffs)
 
 
 def test_free_d_entries_match_the_bivariate_reference():
@@ -77,12 +76,15 @@ def test_free_d_entries_match_the_bivariate_reference():
     entries = seqengine._free_d_entries(64)
     assert len(entries) == 65
     for n, entry in enumerate(entries):
-        assert entry == tuple(_ints(p) for p in biv.value(n).coeffs), n
+        assert entry == biv.value(n).coeffs, n
+        assert _all_int(entry), n
 
 
 def test_t18_relation_matches_the_reference():
     lin, const = ref.t18_relation()
-    assert seqengine._t18_difference() == (_ints(const), _ints(lin))
+    diff = seqengine._t18_difference()
+    assert diff == (const, lin)
+    assert _all_int(diff)
     assert (lin, const) == (D_DENOM, -D_NUMER)
 
 
