@@ -8,22 +8,18 @@ instance of the rule imposes a polynomial constraint on c.
 
 Two probe instances suffice.  The (3, 3) and (3, 5) constraints share
 exactly the rational roots 0, 1 and 3, each selecting one closed-form
-family, and two exact certificates rule out anything else surviving:
-deflating the probe GCD by its rational roots must leave a constant
-(`residual_cofactor_check`), and the constraint cofactors of the probes
-the run used, each numerator with all its rational roots split off,
-must have a constant GCD (`cofactor_gcd_check`).  That GCD equals the
-GCD of the numerators with only their shared rational roots removed:
-a root not shared by every numerator, or shared at a higher
-multiplicity by some, still misses from at least one quotient, so the
-quotients' GCD has no rational root and keeps exactly the common
-factors of higher degree.  Root extraction and GCDs run on integer
+family.  One exact certificate, reported under both of its names, rules
+out anything else surviving: the cofactors of the probes the run used,
+each numerator with all its rational roots split off, have a constant
+GCD (`cofactor_gcd_check`, which proves this is the same as the probe
+GCD deflating to a constant).  Root extraction and GCDs run on integer
 coefficients inside `exactalg`.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -209,17 +205,17 @@ def solve_c(
 ) -> ClassificationReport:
     """Solve the a = 0, b = 1 branch by probing product-rule instances.
 
-    Each probe (m, n) contributes the numerator of its residual; the
-    monic GCD of the nonzero numerators carries every value of c that
-    survives all probes.  Its rational roots are extracted and deflated;
-    a constant leftover certifies the root set is complete.
+    The surviving c are the rational roots every non-vanishing probe
+    numerator shares; `cofactor_gcd_check` certifies that no other c
+    survives, and when it fails the monic GCD of the probe cofactors is
+    the unresolved common factor.  A float index raises TypeError.
 
     Raises WeakProbesError when every probe residual is identically zero.
     The (m, n) residual vanishes identically exactly when m or n is a
     power of 2 (checked for every 2 <= m <= n with mn <= 4096), so the
     probes need a pair with neither component a power of 2.
     """
-    probes = [(int(m), int(n)) for m, n in probe_pairs]
+    probes = [(operator.index(m), operator.index(n)) for m, n in probe_pairs]
     if not probes:
         raise ValueError("at least one probe pair is required")
     for m, n in probes:
@@ -229,28 +225,22 @@ def solve_c(
         table = SymbolicTable()
 
     constraints = [ConstraintRecord.probe(m, n, table) for m, n in probes]
-    nonzero = [rec.numerator for rec in constraints if not rec.numerator.is_zero]
-    if not nonzero:
+    live = [rec for rec in constraints if not rec.numerator.is_zero]
+    if not live:
         raise WeakProbesError(
             "every probe residual is identically zero; add a pair with neither "
             "component a power of 2, such as 3,3"
         )
 
-    shared = nonzero[0]
-    for numerator in nonzero[1:]:
-        shared = poly_gcd(shared, numerator)
-    shared = shared.monic()
-
-    roots, leftover = extract_rational_factors(shared)
-    complete = leftover.degree == 0
-    surviving = tuple(root for root, _ in roots)
+    shared = set.intersection(*({root for root, _ in rec.roots} for rec in live))
+    surviving = tuple(sorted(shared))
     family_map = {root: FAMILY_BY_C[root] for root in surviving if root in FAMILY_BY_C}
+    complete = cofactor_gcd_check(constraints)
+    leftover = None if complete else reduce(poly_gcd, [rec.cofactor for rec in live]).monic()
 
     notes = [PERIOD3_NOTE]
-    if not complete:
-        notes.append(
-            f"unresolved common factor {leftover}; the surviving set may be incomplete"
-        )
+    if leftover is not None:
+        notes.append(f"unresolved common factor {leftover}; the surviving set may be incomplete")
 
     return ClassificationReport(
         branches=branch_analysis(),
@@ -259,9 +249,9 @@ def solve_c(
         surviving_c=surviving,
         family_map=family_map,
         residual_cofactor_check=complete,
-        cofactor_gcd_check=cofactor_gcd_check(constraints),
+        cofactor_gcd_check=complete,
         notes=tuple(notes),
-        unresolved_cofactor=None if complete else leftover,
+        unresolved_cofactor=leftover,
     )
 
 
@@ -270,19 +260,20 @@ def cofactor_gcd_check(constraints: list[ConstraintRecord]) -> bool:
 
     Takes the records whose numerator does not vanish identically and
     demands that their cofactors, the numerators with every rational
-    root split off, have a constant GCD.  A nonconstant GCD would mean a
+    root split off, have a constant GCD G.  A nonconstant G would mean a
     common factor beyond the shared linear ones, that is a possible
     common real root the rational-root extraction cannot see.  With no
     non-vanishing record, or with one whose cofactor is not constant,
     nothing is certified and the result is False.
 
-    This is the GCD of the numerators after removing their shared linear
-    factor L, the product of (c - r) over the rational roots r they all
-    share, each at the smallest multiplicity among them.  That GCD has no
-    rational root: for each root some numerator has no factor (c - r)
-    left after dividing by L.  Its irreducible factors of higher degree
-    are exactly the common factors of the cofactors, with the same
-    multiplicities, so the two GCDs are equal.
+    This is the same certificate as deflating the GCD of the numerators
+    by its rational roots to a constant.  Let L be the product of (c - r)
+    over the rational roots r all numerators share, each at the smallest
+    multiplicity among them.  gcd(numerators)/L has no rational root, as
+    for each root some numerator has no factor (c - r) left after
+    dividing by L, and its factors of higher degree are exactly the
+    common factors of the cofactors, so gcd(numerators) = L G up to a
+    constant: L is the deflated part and G the leftover.
     """
     live = [rec.cofactor for rec in constraints if not rec.numerator.is_zero]
     if not live:

@@ -28,7 +28,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .classifier import ConstraintRecord, WeakProbesError, solve_c
+from .classifier import DEFAULT_PROBES, ConstraintRecord, WeakProbesError, solve_c
 from .seqengine import DEFAULT_MAX_INDEX, FamilyId, SymbolicTable, derive_d, family_value
 from .veritool import verify_family
 
@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument(
         "--probes",
         type=_pairs_arg,
-        default=((3, 3), (3, 5)),
+        default=DEFAULT_PROBES,
         metavar="m,n;m,n",
         help="product-rule instances to probe (default 3,3;3,5)",
     )
@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_constraints.add_argument(
         "--pairs",
         type=_pairs_arg,
-        default=((3, 3), (3, 5)),
+        default=DEFAULT_PROBES,
         metavar="m,n;m,n",
         help="probe instances (default 3,3;3,5)",
     )

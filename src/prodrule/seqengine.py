@@ -35,7 +35,7 @@ Evaluation at a rational point c0 = p/q (`SymbolicTable.value_at`,
 `residual_numerator_at`) stays in integers too: P and D are evaluated as
 homogenised integer sums and a single `Fraction` is built at the end, so
 no `Poly` or `RatFunc` is made.  D has no rational root, so every
-rational c0 is in the domain.
+rational c0 is in the domain; a float index or c0 raises TypeError.
 
 `residual_numerator` turns one (m, n) instance of the product rule into
 a polynomial constraint on c: the instance holds exactly at the roots.
@@ -48,11 +48,12 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 from collections.abc import Callable
 from fractions import Fraction
 
 # poly_gcd is unused here but stays importable: perfbench/tracer.py patches it
-from .exactalg import Poly, RatFunc, _add, _homogeneous_eval, _mul, _neg, poly_gcd  # noqa: F401
+from .exactalg import Poly, RatFunc, _add, _coeff, _homogeneous_eval, _mul, _neg, poly_gcd  # noqa: F401
 
 __all__ = [
     "DEFAULT_MAX_INDEX",
@@ -168,9 +169,9 @@ def _ratfunc(pair: tuple[tuple[int, ...], int]) -> RatFunc:
 
 
 def _pair_at(pair: tuple[tuple[int, ...], int], c0) -> Fraction:
-    """P(c0)/D(c0)^e of a pair at a rational c0, built as one `Fraction`."""
+    """P(c0)/D(c0)^e of a pair at an int or `Fraction` c0, built as one `Fraction`."""
     p, e = pair
-    c0 = Fraction(c0)
+    c0 = _coeff(c0)   # the TypeError `Poly.__call__` raises for a float
     num, den = c0.numerator, c0.denominator
     # P(c0) = top / den^k with k = deg P, and D(c0) = d / den^2
     top = _homogeneous_eval(p, num, den)
@@ -191,6 +192,7 @@ def _fill(n: int) -> tuple[tuple[int, ...], int]:
     entry = _ENTRIES.get(n)
     if entry is not None:
         return entry
+    n = operator.index(n)   # a float misses the memo and stops here
     # no recursion, so any index fills at any recursion limit: collect the
     # unfilled indices level by level, at most 3 per level, then fill upward
     levels = [{n}]
@@ -319,6 +321,7 @@ def _residual_pair(m: int, n: int, table: SymbolicTable | None):
         table = SymbolicTable()
     pair = table._residuals.get((m, n))
     if pair is None:
+        m, n = operator.index(m), operator.index(n)
         t = table._entry
         (pm, em), (pn, en) = t(m), t(n)
         (pm1, em1), (pn1, en1) = t(m - 1), t(n - 1)

@@ -11,9 +11,10 @@ specialization checks evaluate the symbolic table at a rational c0
 through `SymbolicTable.value_at` and `residual_numerator_at`, which stay
 in integers and build one `Fraction` per value; no `Poly` or `RatFunc`
 is made.  Every rational c0 is in the domain, since D = c^2 + 2c - 1 has
-no rational root.  Everything is exact: a report either carries an empty
-failure list or pinpoints the offending pairs with their exact
-`Fraction` sides.
+no rational root; a c0 that is not an int or a `Fraction`, a float
+included, raises TypeError whatever the bound.  Everything is exact: a
+report either carries an empty failure list or pinpoints the offending
+pairs with their exact `Fraction` sides.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exactalg import _coeff
 # residual_numerator is unused here but stays importable: perfbench/tracer.py patches it
 from .seqengine import (  # noqa: F401
     DEFAULT_MAX_INDEX,
@@ -127,7 +129,7 @@ def crosscheck_specialization(
     plain ints.  Only a failing index builds its exact sides: lhs T(n)(c0),
     rhs `family_value`.
     """
-    c0 = Fraction(c0)
+    c0 = _coeff(c0)
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     if table is None:
@@ -159,7 +161,7 @@ def scan_candidate(
     (m, n, value) triples; a c0 that genuinely generates a solution
     returns an empty list.
     """
-    c0 = Fraction(c0)
+    c0 = _coeff(c0)
     if table is None:
         table = SymbolicTable()
     hits: list[tuple[int, int, Fraction]] = []

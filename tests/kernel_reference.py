@@ -3,7 +3,8 @@
 Each is the obviously-correct slow path the integer kernel replaced:
 Euclid over Q with monic remainders, root finding by `Fraction` Horner
 evaluation and deflation, the cofactor certificate that divides the
-shared linear factors out of each numerator, rendering that compares
+shared linear factors out of each numerator, the classification that
+deflates the monic gcd of the probe numerators, rendering that compares
 `Fraction` coefficients, and the derivation of d over `Poly2`, a
 polynomial in d with `Poly` coefficients, and the `BivariateTable` that
 runs the halving identities with d free.
@@ -14,6 +15,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 
+from prodrule.classifier import PERIOD3_NOTE
 from prodrule.exactalg import Poly, RatFunc, _divisors, exact_div
 
 
@@ -90,6 +92,26 @@ def cofactor_gcd_check(constraints):
     """The certificate as it was: the shared-root-free gcd must be constant."""
     common = shared_root_free_gcd(constraints)
     return common is not None and common.degree == 0
+
+
+def classify_by_numerator_gcd(constraints):
+    """The classification as `solve_c` first derived it.
+
+    Takes the monic gcd of the live numerators and deflates it by its
+    rational roots.  Returns (surviving_c, complete, unresolved_cofactor,
+    notes), with the unresolved cofactor None when complete, or None when
+    no record is live.
+    """
+    live = [rec.numerator for rec in constraints if not rec.numerator.is_zero]
+    if not live:
+        return None
+    roots, leftover = extract_rational_factors(reduce(poly_gcd, live).monic())
+    complete = leftover.degree == 0
+    notes = (PERIOD3_NOTE,) if complete else (
+        PERIOD3_NOTE,
+        f"unresolved common factor {leftover}; the surviving set may be incomplete",
+    )
+    return tuple(root for root, _ in roots), complete, None if complete else leftover, notes
 
 
 def to_str(f, var="c"):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kernel_reference as ref
+from prodrule import classifier
 from prodrule.classifier import (
     DEFAULT_PROBES,
     FAMILY_BY_C,
@@ -122,6 +123,13 @@ def test_probe_indices_must_be_at_least_two(table):
         solve_c([], table)
 
 
+def test_probe_indices_must_be_ints(table):
+    # int() would truncate (3, 5.9) to the instance (3, 5)
+    for probes in ([(3, 5.9)], [(3.0, 5)], [(3, 3), (Fraction(7, 2), 5)]):
+        with pytest.raises(TypeError):
+            solve_c(probes, table)
+
+
 def test_enlarged_probe_set_gives_same_classification(table):
     probes = [
         (m, n)
@@ -174,18 +182,58 @@ _SMALL_PROBES = [
     (m, n) for m in range(3, 13) for n in range(m, 150 // m + 1)
     if m & (m - 1) and n & (n - 1)   # skip the identically zero residuals
 ]
+_VANISHING_PROBES = [(2, 5), (2, 9), (3, 4), (4, 4), (4, 7), (5, 8), (3, 16)]
 
 
 @settings(max_examples=60, deadline=None)
-@given(probes=st.lists(st.sampled_from(_SMALL_PROBES), min_size=1, max_size=3))
+@given(probes=st.lists(st.sampled_from(_SMALL_PROBES + _VANISHING_PROBES), min_size=1, max_size=3))
 @example(probes=[(5, 9), (6, 6)])   # c^2 + 1 is shared beyond the rational roots
 @example(probes=[(3, 3)])
+@example(probes=[(4, 7), (3, 3)])   # a zero numerator has no roots to intersect
+@example(probes=[(4, 4), (2, 9)])
 def test_cofactor_gcd_is_the_shared_root_free_gcd(table, probes):
-    # the equivalence the cofactor_gcd_check docstring states, as polynomials
+    # the equivalence the cofactor_gcd_check docstring states, as polynomials,
+    # and solve_c against the former numerator-gcd route it rests on
     records = [ConstraintRecord.probe(m, n, table) for m, n in probes]
-    common = reduce(poly_gcd, [rec.cofactor for rec in records])
-    assert common.monic() == ref.shared_root_free_gcd(records).monic()
     assert cofactor_gcd_check(records) == ref.cofactor_gcd_check(records)
+    want = ref.classify_by_numerator_gcd(records)
+    if want is None:
+        with pytest.raises(WeakProbesError):
+            solve_c(probes, table)
+        return
+    live = [rec.cofactor for rec in records if not rec.numerator.is_zero]
+    assert reduce(poly_gcd, live).monic() == ref.shared_root_free_gcd(records).monic()
+    report = solve_c(probes, table)
+    got = (report.surviving_c, report.residual_cofactor_check,
+           report.unresolved_cofactor, report.notes)
+    assert got == want
+    assert report.cofactor_gcd_check == report.residual_cofactor_check
+
+
+@pytest.mark.parametrize(
+    "probes",
+    [DEFAULT_PROBES, ((3, 3), (4, 4), (3, 5)), ((3, 3), (3, 5), (4, 7), (5, 9)),
+     ((9, 113), (17, 60), (31, 33), (3, 341))],
+)
+def test_solve_c_runs_one_gcd_chain_and_one_root_pass_per_live_probe(table, probes, monkeypatch):
+    # k live probes: k root splits and one chain of k - 1 gcds over the cofactors,
+    # with no second gcd over the numerators and no root pass on their gcd
+    calls = {"poly_gcd": 0, "extract_rational_factors": 0}
+
+    def counted(name):
+        original = getattr(classifier, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(classifier, name, counted(name))
+    report = solve_c(probes, table)
+    assert report.all_checks_pass
+    k = sum(not rec.numerator.is_zero for rec in report.constraints)
+    assert calls == {"poly_gcd": k - 1, "extract_rational_factors": k}
 
 
 def test_negative_control_cubic_does_not_vanish_at_two():

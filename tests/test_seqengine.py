@@ -375,6 +375,29 @@ def test_value_at_accepts_ints_and_checks_the_range():
         small.value_at(-1, 3)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda t: t.value(4.5), id="t.value(4.5)"),
+        pytest.param(lambda t: t.value(16.5), id="t.value(16.5)"),
+        pytest.param(lambda t: t.value_at(6.5, 3), id="t.value_at(6.5, 3)"),
+        pytest.param(lambda t: residual_numerator(3, 5.5, t), id="residual_numerator(3, 5.5, t)"),
+        pytest.param(lambda t: residual(4.5, 3, t), id="residual(4.5, 3, t)"),
+        pytest.param(lambda t: residual_numerator_at(3, 7.5, 2, t), id="residual_numerator_at(3, 7.5, 2, t)"),
+        pytest.param(lambda t: t.value_at(5, 0.5), id="t.value_at(5, 0.5)"),
+        pytest.param(lambda t: t.value(5)(0.5), id="t.value(5)(0.5)"),
+        pytest.param(lambda t: residual_numerator_at(3, 5, 0.5, t), id="residual_numerator_at(3, 5, 0.5, t)"),
+    ],
+)
+def test_float_indices_and_points_raise_and_leave_the_memos_int(call):
+    # a float index misses the memos and is refused before anything is stored
+    table = SymbolicTable()
+    with pytest.raises(TypeError):
+        call(table)
+    assert all(type(n) is int for n in seqengine._ENTRIES)
+    assert all(type(m) is int and type(n) is int for m, n in table._residuals)
+
+
 # ---------------------------------------------------------------------------
 # the per-table residual memo
 

@@ -3,10 +3,13 @@
 Skipped when sympy is not installed.
 """
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from prodrule.classifier import DEFAULT_PROBES, solve_c
 from prodrule.exactalg import Poly, poly_gcd
 from prodrule.seqengine import residual_numerator
 
@@ -64,3 +67,30 @@ def test_poly_gcd_agrees_with_sympy(table, first, second):
     f, g = residual_numerator(*first, table), residual_numerator(*second, table)
     want = sympy.Poly(sympy.gcd(_expr(f), _expr(g)), c).monic()
     assert poly_gcd(f, g) == _poly(want.as_expr())
+
+
+def _golden_probe_sets():
+    """Every probe set a golden `classify` entry runs, each once."""
+    golden = json.loads((Path(__file__).parent / "golden" / "cli_stdout.json").read_text())
+    found = {DEFAULT_PROBES}
+    for case in golden:
+        words = case.split()
+        if words[0] == "classify" and "--probes" in words:
+            text = words[words.index("--probes") + 1]
+            found.add(tuple(tuple(int(x) for x in pair.split(",")) for pair in text.split(";")))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("probes", _golden_probe_sets() + [((5, 9), (6, 6))])
+def test_solve_c_agrees_with_the_sympy_gcd_of_the_numerators(table, probes):
+    report = solve_c(probes, table)
+    numerators = [_expr(rec.numerator) for rec in report.constraints if not rec.numerator.is_zero]
+    common = sympy.Poly(sympy.gcd_list(numerators), c).monic()
+    roots = sympy.roots(common, filter="Q")
+    linear = sympy.Poly(sympy.prod((c - root) ** mult for root, mult in roots.items()), c)
+    leftover, rest = sympy.div(common, linear)
+    assert rest.is_zero
+    assert report.surviving_c == tuple(Fraction(int(r.p), int(r.q)) for r in sorted(roots))
+    assert report.residual_cofactor_check == report.cofactor_gcd_check == (leftover.degree() == 0)
+    want = None if leftover.degree() == 0 else _poly(leftover.monic().as_expr())
+    assert report.unresolved_cofactor == want

@@ -226,6 +226,17 @@ def test_crosscheck_rejects_negative_range(table):
         crosscheck_specialization(Fraction(3), FamilyId.TRIANGULAR, -1, table)
 
 
+@pytest.mark.parametrize("c0", [0.1, 3.0, "3", None])
+def test_specialization_checks_refuse_a_non_rational_point(table, c0):
+    # whatever the bound, even one that evaluates nothing
+    for bound in (1, 15):
+        with pytest.raises(TypeError):
+            scan_candidate(c0, bound, table)
+    for bound in (-1, 0, 16):
+        with pytest.raises(TypeError):
+            crosscheck_specialization(c0, FamilyId.TRIANGULAR, bound, table)
+
+
 def test_verify_family_rejects_empty_grid():
     with pytest.raises(ValueError):
         verify_family(FamilyId.ZERO, 0)
