@@ -13,7 +13,8 @@ out anything else surviving: the cofactors of the probes the run used,
 each numerator with all its rational roots split off, have a constant
 GCD (`cofactor_gcd_check`, which proves this is the same as the probe
 GCD deflating to a constant).  Root extraction and GCDs run on integer
-coefficients inside `exactalg`.
+coefficients inside `exactalg`, and each probe's numerator and cofactor
+are integer polynomials.
 """
 
 from __future__ import annotations
@@ -274,8 +275,16 @@ def cofactor_gcd_check(constraints: list[ConstraintRecord]) -> bool:
     dividing by L, and its factors of higher degree are exactly the
     common factors of the cofactors, so gcd(numerators) = L G up to a
     constant: L is the deflated part and G the leftover.
+
+    The chain stops as soon as the running GCD is a nonzero constant,
+    since gcd(k, f) = 1 for any constant k != 0.
     """
     live = [rec.cofactor for rec in constraints if not rec.numerator.is_zero]
     if not live:
         return False
-    return reduce(poly_gcd, live).degree == 0
+    common = live[0]
+    for cofactor in live[1:]:
+        if common.degree == 0:
+            break
+        common = poly_gcd(common, cofactor)
+    return common.degree == 0

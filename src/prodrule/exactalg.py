@@ -418,10 +418,14 @@ def extract_rational_factors(f: Poly) -> tuple[tuple[tuple[Fraction, int], ...],
     Returns (roots, cofactor) with f = prod (c - r)^mult * cofactor; the
     cofactor keeps f's leading coefficient and has no rational roots.  It
     is the integer quotient the root pass of `rational_roots` leaves,
-    scaled to f's leading coefficient, so no second deflation runs.
+    scaled to f's leading coefficient, so no second deflation runs.  When
+    that scale is integral, as for every integer f, the cofactor's
+    coefficients are ints.
     """
     roots, work = _split_roots(f)
     scale = Fraction(f.leading, work[-1])
+    if scale.denominator == 1:
+        scale = scale.numerator
     return roots, Poly(x * scale for x in work)
 
 

@@ -188,11 +188,10 @@ _ENTRIES = {0: ((), 0), 1: ((1,), 0), 2: (_C, 0), 3: (_D_NUMER, 1)}
 
 
 def _fill(n: int) -> tuple[tuple[int, ...], int]:
-    """The pair (P, e) of T(n) by the halving identities, memoized per process."""
+    """The pair (P, e) of T(n), n an int, by the halving identities, memoized per process."""
     entry = _ENTRIES.get(n)
     if entry is not None:
         return entry
-    n = operator.index(n)   # a float misses the memo and stops here
     # no recursion, so any index fills at any recursion limit: collect the
     # unfilled indices level by level, at most 3 per level, then fill upward
     levels = [{n}]
@@ -227,8 +226,10 @@ class SymbolicTable:
     Indices above `max_index` are refused before the memo is touched:
     the bound states how far a caller lets the recursion reach
     (`classify --range` sets it), so an index past it is an error, not
-    a silent fill.  Shared entries are immutable and a racing fill
-    stores an equal value, so tables may fill from several threads.
+    a silent fill.  A float index raises TypeError before any memo is
+    read, so no refusal depends on what the process has filled.  Shared
+    entries are immutable and a racing fill stores an equal value, so
+    tables may fill from several threads.
     Each table also memoizes its residual pairs in `_residuals`, one
     immutable pair per distinct (m, n) asked for; that memo is the
     table's own, so give each thread its own table or share one only
@@ -242,7 +243,8 @@ class SymbolicTable:
         self._residuals: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
 
     def _entry(self, n: int) -> tuple[tuple[int, ...], int]:
-        """The stored entry for T(n), after checking n is in range."""
+        """The stored entry for T(n), after checking n is an int in range."""
+        n = operator.index(n)
         if n < 0:
             raise ValueError("sequence indices start at 0")
         if n > self.max_index:
@@ -315,13 +317,14 @@ def derive_d() -> RatFunc:
 
 
 def _residual_pair(m: int, n: int, table: SymbolicTable | None):
+    # ints before the memo, so a float is refused whatever was filled
+    m, n = operator.index(m), operator.index(n)
     if m < 2 or n < 2:
         raise ValueError("product-rule probes need m >= 2 and n >= 2")
     if table is None:
         table = SymbolicTable()
     pair = table._residuals.get((m, n))
     if pair is None:
-        m, n = operator.index(m), operator.index(n)
         t = table._entry
         (pm, em), (pn, en) = t(m), t(n)
         (pm1, em1), (pn1, en1) = t(m - 1), t(n - 1)

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -210,14 +211,21 @@ def test_cofactor_gcd_is_the_shared_root_free_gcd(table, probes):
     assert report.cofactor_gcd_check == report.residual_cofactor_check
 
 
+def _gcd_steps(cofactors):
+    """The poly_gcd calls of a chain that stops once the reference fold is constant."""
+    running = list(accumulate(cofactors, ref.poly_gcd))
+    return next((i for i, common in enumerate(running) if common.degree == 0), len(running) - 1)
+
+
 @pytest.mark.parametrize(
     "probes",
     [DEFAULT_PROBES, ((3, 3), (4, 4), (3, 5)), ((3, 3), (3, 5), (4, 7), (5, 9)),
-     ((9, 113), (17, 60), (31, 33), (3, 341))],
+     ((9, 113), (17, 60), (31, 33), (3, 341)), ((5, 9), (6, 6), (3, 3))],
 )
 def test_solve_c_runs_one_gcd_chain_and_one_root_pass_per_live_probe(table, probes, monkeypatch):
-    # k live probes: k root splits and one chain of k - 1 gcds over the cofactors,
-    # with no second gcd over the numerators and no root pass on their gcd
+    # k live probes: k root splits and one chain of gcds over the cofactors that
+    # stops as soon as the running gcd is constant, with no second gcd over the
+    # numerators and no root pass on their gcd
     calls = {"poly_gcd": 0, "extract_rational_factors": 0}
 
     def counted(name):
@@ -232,8 +240,20 @@ def test_solve_c_runs_one_gcd_chain_and_one_root_pass_per_live_probe(table, prob
         monkeypatch.setattr(classifier, name, counted(name))
     report = solve_c(probes, table)
     assert report.all_checks_pass
-    k = sum(not rec.numerator.is_zero for rec in report.constraints)
-    assert calls == {"poly_gcd": k - 1, "extract_rational_factors": k}
+    live = [rec.cofactor for rec in report.constraints if not rec.numerator.is_zero]
+    assert calls == {"poly_gcd": _gcd_steps(live), "extract_rational_factors": len(live)}
+
+
+def test_the_gcd_chain_stops_only_at_a_nonzero_constant():
+    # the early stop agrees with the full fold; a zero running gcd is no
+    # constant, since gcd(0, f) = f
+    def record(cofactor):
+        return ConstraintRecord(3, 3, CUBIC, (), cofactor)
+    chains = [[CUBIC, Poly((1, 0, 1)), CUBIC], [Poly(), Poly((5,))], [Poly(), CUBIC],
+              [Poly((2,)), CUBIC, Poly()], [CUBIC * Poly((1, 0, 1)), CUBIC, Poly((1, 0, 1))]]
+    for cofactors in chains:
+        full = reduce(ref.poly_gcd, cofactors).degree == 0
+        assert cofactor_gcd_check([record(f) for f in cofactors]) == full, cofactors
 
 
 def test_negative_control_cubic_does_not_vanish_at_two():

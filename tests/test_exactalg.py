@@ -158,6 +158,11 @@ def test_extract_rational_factors_keeps_leading_scale():
     roots, cofactor = extract_rational_factors(f)
     assert roots == ((Fraction(0), 1), (Fraction(1), 1))
     assert cofactor == CUBIC * 2
+    assert all(type(x) is int for x in cofactor.coeffs)
+    # a scale that is not integral keeps Fraction coefficients
+    roots, cofactor = extract_rational_factors(Poly((-1, 1)) * CUBIC * Fraction(1, 2))
+    assert cofactor == CUBIC * Fraction(1, 2)
+    assert cofactor.coeffs == (Fraction(-1, 2), Fraction(1, 2), 0, 1)
 
 
 def test_ratfunc_zero_is_zero_over_one():
@@ -393,6 +398,7 @@ def test_kernel_matches_the_references_on_every_probe_numerator(table):
             count += 1
             roots, cofactor = extract_rational_factors(f)
             assert (roots, cofactor) == ref.extract_rational_factors(f), (m, n)
+            assert all(type(x) is int for x in cofactor.coeffs), (m, n)
             assert rational_roots(f) == roots, (m, n)
             for g in probes:
                 assert poly_gcd(f, g) == ref.poly_gcd(f, g), (m, n)

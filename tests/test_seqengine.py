@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import kernel_reference as ref
 import prodrule.seqengine as seqengine
+from prodrule.classifier import ConstraintRecord
 from prodrule.exactalg import Poly, RatFunc, poly_gcd
 from prodrule.seqengine import (
     C_POLY,
@@ -387,10 +388,16 @@ def test_value_at_accepts_ints_and_checks_the_range():
         pytest.param(lambda t: t.value_at(5, 0.5), id="t.value_at(5, 0.5)"),
         pytest.param(lambda t: t.value(5)(0.5), id="t.value(5)(0.5)"),
         pytest.param(lambda t: residual_numerator_at(3, 5, 0.5, t), id="residual_numerator_at(3, 5, 0.5, t)"),
+        # integral floats, each asked for after its int twin is memoized
+        pytest.param(lambda t: (t.value(40), t.value(40.0)), id="t.value(40.0)"),
+        pytest.param(lambda t: (residual_numerator(3, 5, t), residual_numerator(3, 5.0, t)),
+                     id="residual_numerator(3, 5.0, t)"),
+        pytest.param(lambda t: (ConstraintRecord.probe(3, 5, t), ConstraintRecord.probe(3, 5.0, t)),
+                     id="ConstraintRecord.probe(3, 5.0, t)"),
     ],
 )
 def test_float_indices_and_points_raise_and_leave_the_memos_int(call):
-    # a float index misses the memos and is refused before anything is stored
+    # a float index is refused before any memo is read, whatever is filled
     table = SymbolicTable()
     with pytest.raises(TypeError):
         call(table)
