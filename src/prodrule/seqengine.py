@@ -31,11 +31,15 @@ general gcd is ever needed; a stripped pair is already the canonical
 value.  Like d, each entry is a constant of the problem: each T(n) is
 derived once per process and shared by all tables, which differ only in
 their reach and their residual memos.
-Evaluation at a rational point c0 = p/q (`SymbolicTable.value_at`,
-`residual_numerator_at`) stays in integers too: P and D are evaluated as
-homogenised integer sums and a single `Fraction` is built at the end, so
-no `Poly` or `RatFunc` is made.  D has no rational root, so every
-rational c0 is in the domain; a float index or c0 raises TypeError.
+
+Evaluation at a rational point c0 = p/q stays in integers: `_point`
+gives p, q and q^2 D(c0) once per call, and `_ints_at` gives a pair's
+P(c0)/D(c0)^e as ints top/bottom by homogenised Horner sums.
+`SymbolicTable.value_at` and `residual_numerator_at` build one `Fraction`
+from them; the checks in `veritool` cross-multiply them instead.  D has
+no rational root, so every rational c0 is in the domain and bottom is
+never 0, though it may be negative (D(0) = -1); a float index or c0
+raises TypeError.
 
 `residual_numerator` turns one (m, n) instance of the product rule into
 a polynomial constraint on c: the instance holds exactly at the roots.
@@ -168,18 +172,22 @@ def _ratfunc(pair: tuple[tuple[int, ...], int]) -> RatFunc:
     return RatFunc._from_canonical(Poly(p), Poly(_d_power(e)))
 
 
-def _pair_at(pair: tuple[tuple[int, ...], int], c0) -> Fraction:
-    """P(c0)/D(c0)^e of a pair at an int or `Fraction` c0, built as one `Fraction`."""
-    p, e = pair
+def _point(c0) -> tuple[int, int, int]:
+    """(num, den, den^2 D(c0)) for an int or `Fraction` c0 = num/den, in ints."""
     c0 = _coeff(c0)   # the TypeError `Poly.__call__` raises for a float
     num, den = c0.numerator, c0.denominator
+    return num, den, _homogeneous_eval(_D, num, den)
+
+
+def _ints_at(pair: tuple[tuple[int, ...], int], num: int, den: int, d: int) -> tuple[int, int]:
+    """Ints (top, bottom) with P(c0)/D(c0)^e = top/bottom, at the `_point` (num, den, d) of c0."""
+    p, e = pair
     # P(c0) = top / den^k with k = deg P, and D(c0) = d / den^2
     top = _homogeneous_eval(p, num, den)
-    d_e = _homogeneous_eval(_D, num, den) ** e
     shift = 2 * e - len(p) + 1
     if shift >= 0:
-        return Fraction(top * den**shift, d_e)
-    return Fraction(top, den**-shift * d_e)
+        return top * den**shift, d**e
+    return top, den**-shift * d**e
 
 
 # the one entry memo, shared by all tables like _D_POWERS and seeded with
@@ -260,7 +268,7 @@ class SymbolicTable:
 
     def value_at(self, n: int, c0) -> Fraction:
         """T(n) at the rational point c = c0; equal to `value(n)(c0)`."""
-        return _pair_at(self._entry(n), c0)
+        return Fraction(*_ints_at(self._entry(n), *_point(c0)))
 
 
 # with d free, a value is a tuple of integer `Poly`s in c, the coefficients
@@ -355,4 +363,4 @@ def residual_numerator_at(m: int, n: int, c0, table: SymbolicTable | None = None
 
     Equal to `residual_numerator(m, n, table)(c0)`, without building a `Poly`.
     """
-    return _pair_at((_residual_pair(m, n, table)[0], 0), c0)
+    return Fraction(*_ints_at((_residual_pair(m, n, table)[0], 0), *_point(c0)))

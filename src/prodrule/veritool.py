@@ -7,14 +7,15 @@ u(n) = 2 T(n) (`seqengine.doubled_form`), the single source of truth for
 the family, so it needs plain integers only and O(N) memory.  The rule
 is symmetric in m and n, so the N(N+1)/2 cells with m <= n decide all N^2
 cells of the grid; a report's `checked` counts the grid cells decided.  The
-specialization checks evaluate the symbolic table at a rational c0
-through `SymbolicTable.value_at` and `residual_numerator_at`, which stay
-in integers and build one `Fraction` per value; no `Poly` or `RatFunc`
-is made.  Every rational c0 is in the domain, since D = c^2 + 2c - 1 has
-no rational root; a c0 that is not an int or a `Fraction`, a float
-included, raises TypeError whatever the bound.  Everything is exact: a
-report either carries an empty failure list or pinpoints the offending
-pairs with their exact `Fraction` sides.
+specialization checks evaluate the symbolic table at a rational c0 on the
+integer evaluator of `seqengine`: c0 and D(c0) are turned into ints once
+per call, each value comes back as two ints top/bottom, and the checks
+cross-multiply them, so no `Poly` or `RatFunc` is made and a `Fraction`
+is built only for a reported hit or failure.  Every rational c0 is in the
+domain, since D = c^2 + 2c - 1 has no rational root; a c0 that is not an
+int or a `Fraction`, a float included, raises TypeError whatever the
+bound.  Everything is exact: a report either carries an empty failure
+list or pinpoints the offending pairs with their exact `Fraction` sides.
 """
 
 from __future__ import annotations
@@ -22,16 +23,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import _coeff
 # residual_numerator is unused here but stays importable: perfbench/tracer.py patches it
 from .seqengine import (  # noqa: F401
     DEFAULT_MAX_INDEX,
     FamilyId,
     SymbolicTable,
+    _fill,
+    _ints_at,
+    _point,
+    _residual_pair,
     doubled_form,
     family_value,
     residual_numerator,
-    residual_numerator_at,
 )
 
 __all__ = [
@@ -124,23 +127,24 @@ def crosscheck_specialization(
 ) -> VerifyReport:
     """Compare the symbolic T(n) evaluated at c0 with a family's closed form.
 
-    For n = 0..max_n, T(n)(c0) comes from `SymbolicTable.value_at` and
-    2 T(n)(c0) is compared with the family's integer closed form u(n) in
-    plain ints.  Only a failing index builds its exact sides: lhs T(n)(c0),
-    rhs `family_value`.
+    The reach is checked once, before any entry is filled.  For n = 0..max_n,
+    T(n)(c0) = top/bottom is compared with the family's integer closed form
+    u(n) as 2 top == u(n) bottom, exact for either sign of bottom.  Only a
+    failing index builds its exact sides: lhs T(n)(c0), rhs `family_value`.
     """
-    c0 = _coeff(c0)
+    point = _point(c0)
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     if table is None:
         table = SymbolicTable(max(DEFAULT_MAX_INDEX, max_n))
+    if max_n > table.max_index:   # refused before any fill, as at the first index past the reach
+        table._entry(table.max_index + 1)
     u = doubled_form(family)
     failures: list[CheckFailure] = []
     for n in range(max_n + 1):
-        got = table.value_at(n, c0)
-        # got == u(n)/2, cross-multiplied in ints
-        if 2 * got.numerator != u(n) * got.denominator:
-            failures.append(CheckFailure(n, n, got, family_value(family, n)))
+        top, bottom = _ints_at(_fill(n), *point)
+        if 2 * top != u(n) * bottom:
+            failures.append(CheckFailure(n, n, Fraction(top, bottom), family_value(family, n)))
     return VerifyReport(
         subject=f"c={c0}->{family.value}",
         range=max_n,
@@ -156,20 +160,20 @@ def scan_candidate(
 ) -> list[tuple[int, int, Fraction]]:
     """Evaluate every probe numerator with 3 <= m <= n, mn <= max_prod at c0.
 
-    Each value is the canonical (m, n) residual numerator at c0, from
-    `residual_numerator_at` in integers.  Returns the nonzero entries as
-    (m, n, value) triples; a c0 that genuinely generates a solution
-    returns an empty list.
+    Each value is the canonical (m, n) residual numerator at c0, as ints
+    top/bottom from the integer evaluator.  Returns the nonzero entries as
+    (m, n, value) triples, building a `Fraction` only for those; a c0 that
+    genuinely generates a solution returns an empty list.
     """
-    c0 = _coeff(c0)
+    point = _point(c0)
     if table is None:
         table = SymbolicTable()
     hits: list[tuple[int, int, Fraction]] = []
     m = 3
     while m * m <= max_prod:
         for n in range(m, max_prod // m + 1):
-            value = residual_numerator_at(m, n, c0, table)
-            if value != 0:
-                hits.append((m, n, value))
+            top, bottom = _ints_at((_residual_pair(m, n, table)[0], 0), *point)
+            if top:
+                hits.append((m, n, Fraction(top, bottom)))
         m += 1
     return hits

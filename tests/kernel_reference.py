@@ -7,7 +7,10 @@ shared linear factors out of each numerator, the classification that
 deflates the monic gcd of the probe numerators, rendering that compares
 `Fraction` coefficients, and the derivation of d over `Poly2`, a
 polynomial in d with `Poly` coefficients, and the `BivariateTable` that
-runs the halving identities with d free.
+runs the halving identities with d free.  The specialisation checks as
+they were build one `Fraction` per value: the crosscheck through
+`SymbolicTable.value_at` at each index, the scan through
+`residual_numerator_at` at each probe.
 """
 
 import math
@@ -16,7 +19,9 @@ from fractions import Fraction
 from functools import reduce
 
 from prodrule.classifier import PERIOD3_NOTE
-from prodrule.exactalg import Poly, RatFunc, _divisors, exact_div
+from prodrule.exactalg import Poly, RatFunc, _coeff, _divisors, exact_div
+from prodrule.seqengine import DEFAULT_MAX_INDEX, SymbolicTable, doubled_form, family_value, residual_numerator_at
+from prodrule.veritool import CheckFailure, VerifyReport
 
 
 def poly_gcd(f, g):
@@ -279,3 +284,35 @@ def derive_d():
     lin, const = t18_relation()
     assert poly_gcd(const, lin).degree == 0
     return RatFunc(-const, lin)
+
+
+def crosscheck_specialization(c0, family, max_n, table=None):
+    """The crosscheck as it was: `value_at` at each index, refusing an index past the reach when met."""
+    c0 = _coeff(c0)
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
+    if table is None:
+        table = SymbolicTable(max(DEFAULT_MAX_INDEX, max_n))
+    u = doubled_form(family)
+    failures = []
+    for n in range(max_n + 1):
+        got = table.value_at(n, c0)
+        if 2 * got.numerator != u(n) * got.denominator:
+            failures.append(CheckFailure(n, n, got, family_value(family, n)))
+    return VerifyReport(subject=f"c={c0}->{family.value}", range=max_n, checked=max_n + 1, failures=failures)
+
+
+def scan_candidate(c0, max_prod, table=None):
+    """The scan as it was: `residual_numerator_at` at each probe, keeping the nonzero values."""
+    c0 = _coeff(c0)
+    if table is None:
+        table = SymbolicTable()
+    hits = []
+    m = 3
+    while m * m <= max_prod:
+        for n in range(m, max_prod // m + 1):
+            value = residual_numerator_at(m, n, c0, table)
+            if value != 0:
+                hits.append((m, n, value))
+        m += 1
+    return hits

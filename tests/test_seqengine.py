@@ -36,6 +36,7 @@ from prodrule.seqengine import (
     residual_numerator,
     residual_numerator_at,
 )
+from prodrule.veritool import crosscheck_specialization
 
 D = RatFunc(D_NUMER, D_DENOM)
 
@@ -367,6 +368,18 @@ def test_residual_numerator_at_matches_poly_evaluation(table, pair, c0):
     assert got == residual_numerator(m, n, table)(c0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(p=st.lists(st.integers(-20, 20), max_size=7).map(tuple), e=st.integers(0, 4), c0=points)
+@example(p=(1,), e=1, c0=Fraction(1, 2))        # 1/D: deg P < 2e, so top takes den^shift
+@example(p=(3, 0, -1), e=3, c0=Fraction(-7, 5))  # D(c0) < 0
+@example(p=(), e=2, c0=Fraction(5, 3))
+def test_the_point_evaluator_matches_poly_evaluation_on_any_pair(p, e, c0):
+    # table entries all have deg P >= 2e for n >= 1; any pair P/D^e must evaluate too
+    top, bottom = seqengine._ints_at((p, e), *seqengine._point(c0))
+    assert type(top) is type(bottom) is int and bottom != 0
+    assert Fraction(top, bottom) == Poly(p)(c0) / D_DENOM(c0) ** e
+
+
 def test_value_at_accepts_ints_and_checks_the_range():
     small = SymbolicTable(8)
     assert small.value_at(8, 3) == 36
@@ -475,6 +488,22 @@ def test_a_refused_index_is_never_stored():
         with pytest.raises(ValueError):
             SymbolicTable(16).value_at(17, 3)
         assert entries == _cold_entries()
+
+
+def test_a_refused_crosscheck_fills_nothing():
+    with mock.patch.object(seqengine, "_ENTRIES", _cold_entries()) as entries:
+        with pytest.raises(ValueError) as refused:
+            crosscheck_specialization(3, FamilyId.TRIANGULAR, 40, SymbolicTable(16))
+        assert entries == _cold_entries()
+        # a float c0 is refused first, whatever the bound
+        with pytest.raises(TypeError):
+            crosscheck_specialization(3.0, FamilyId.TRIANGULAR, 40, SymbolicTable(16))
+        assert entries == _cold_entries()
+        # the former crosscheck filled up to the reach before it refused, with the same message
+        with pytest.raises(ValueError) as former:
+            ref.crosscheck_specialization(3, FamilyId.TRIANGULAR, 40, SymbolicTable(16))
+        assert sorted(entries) == list(range(17))
+    assert str(refused.value) == str(former.value)
 
 
 def test_threads_with_their_own_tables_fill_one_memo_consistently(monkeypatch):

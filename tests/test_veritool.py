@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kernel_reference as ref
+import prodrule.seqengine as seqengine
 import prodrule.veritool as veritool
 from prodrule.seqengine import FamilyId, SymbolicTable, doubled_form, family_value, residual_numerator
 from prodrule.veritool import (
@@ -342,3 +344,93 @@ def test_wrong_pairing_failures_match_ratfunc_evaluation(table, c0, family):
     assert report.failures == want
     assert report.checked == 65
     assert all(type(f.lhs) is type(f.rhs) is Fraction for f in report.failures)
+
+
+# ---------------------------------------------------------------------------
+# the integer checks against the former checks, which built a `Fraction` per value
+
+points = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(c0=points, family=st.sampled_from(list(FamilyId)), max_n=st.integers(0, 256))
+@example(c0=Fraction(0), family=FamilyId.PERIOD3, max_n=256)   # D(0) = -1
+@example(c0=Fraction(0), family=FamilyId.ZERO, max_n=256)      # D(0) = -1, failing
+@example(c0=Fraction(-7, 5), family=FamilyId.TRIANGULAR, max_n=256)   # D(c0) < 0
+@example(c0=Fraction(1), family=FamilyId.CEIL_HALF, max_n=256)
+@example(c0=Fraction(3), family=FamilyId.TRIANGULAR, max_n=256)
+@example(c0=Fraction(3), family=FamilyId.CEIL_HALF, max_n=64)   # wrong pairings
+@example(c0=Fraction(1), family=FamilyId.PERIOD3, max_n=64)
+@example(c0=Fraction(0), family=FamilyId.HALF, max_n=64)
+def test_crosscheck_matches_the_value_at_reference(table, c0, family, max_n):
+    report = crosscheck_specialization(c0, family, max_n, table)
+    want = ref.crosscheck_specialization(c0, family, max_n, table)
+    assert report == want
+    assert report.to_dict() == want.to_dict()
+    assert all(type(f.lhs) is type(f.rhs) is Fraction for f in report.failures)
+
+
+@settings(max_examples=40, deadline=None)
+@given(c0=points, max_prod=st.integers(9, 256))
+@example(c0=Fraction(0), max_prod=256)
+@example(c0=Fraction(-7, 5), max_prod=256)
+@example(c0=Fraction(2), max_prod=256)
+@example(c0=Fraction(3), max_prod=256)   # no hit at all
+def test_scan_matches_the_residual_numerator_at_reference(table, c0, max_prod):
+    hits = scan_candidate(c0, max_prod, table)
+    assert hits == ref.scan_candidate(c0, max_prod, table)
+    assert all(type(value) is Fraction for _, _, value in hits)
+
+
+def _count_work(monkeypatch):
+    """Count evaluations of D, calls of the point evaluator and `Fraction`s built."""
+    counts = {"d": 0, "evaluated": 0, "fractions": 0}
+    base_eval, base_ints = seqengine._homogeneous_eval, seqengine._ints_at
+
+    def homogeneous_eval(coeffs, p, q):
+        counts["d"] += coeffs is seqengine._D
+        return base_eval(coeffs, p, q)
+
+    def ints_at(*args):
+        counts["evaluated"] += 1
+        return base_ints(*args)
+
+    def fraction(*args):
+        counts["fractions"] += 1
+        return Fraction(*args)
+
+    monkeypatch.setattr(seqengine, "_homogeneous_eval", homogeneous_eval)
+    monkeypatch.setattr(veritool, "_ints_at", ints_at)
+    for module in (seqengine, veritool):
+        monkeypatch.setattr(module, "Fraction", fraction)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "c0, family, max_n",
+    [
+        (Fraction(0), FamilyId.PERIOD3, 64),
+        (Fraction(3), FamilyId.TRIANGULAR, 64),
+        (Fraction(-7, 5), FamilyId.ZERO, 32),
+        (Fraction(3), FamilyId.CEIL_HALF, 16),
+    ],
+)
+def test_a_crosscheck_evaluates_d_once_and_builds_fractions_only_for_failures(
+    monkeypatch, table, c0, family, max_n
+):
+    want = ref.crosscheck_specialization(c0, family, max_n, table)
+    counts = _count_work(monkeypatch)
+    report = crosscheck_specialization(c0, family, max_n, table)
+    assert report == want
+    # D(c0) once per call, one evaluation per index, and only a failure's two sides
+    assert counts == {"d": 1, "evaluated": max_n + 1, "fractions": 2 * len(report.failures)}
+
+
+@pytest.mark.parametrize("c0", [Fraction(3), Fraction(2), Fraction(-7, 5)])
+def test_a_scan_evaluates_d_once_and_builds_fractions_only_for_hits(monkeypatch, table, c0):
+    want = ref.scan_candidate(c0, 61, table)
+    counts = _count_work(monkeypatch)
+    hits = scan_candidate(c0, 61, table)
+    assert hits == want
+    probes = sum(61 // m - m + 1 for m in range(3, 8))
+    assert counts == {"d": 1, "evaluated": probes, "fractions": len(hits)}
