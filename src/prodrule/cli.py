@@ -29,7 +29,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .classifier import DEFAULT_PROBES, ConstraintRecord, WeakProbesError, solve_c
-from .seqengine import DEFAULT_MAX_INDEX, FamilyId, SymbolicTable, derive_d, family_value
+from .seqengine import DEFAULT_MAX_INDEX, FamilyId, SymbolicTable, derive_d, doubled_values
 from .veritool import verify_family
 
 _FAMILIES = {fam.value: fam for fam in FamilyId}
@@ -145,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         required=True,
         metavar="N",
-        help="grid bound: every 1 <= m, n <= N is checked",
+        help="grid bound: every 1 <= m, n <= N is checked, in time growing as N^2 (all five families: "
+        "about 0.04 s at N = 1000, 2-3 s at N = 10000) and O(M N) memory for a family of period M",
     )
 
     p_eval = sub.add_parser(
@@ -222,7 +223,7 @@ def _cmd_eval(args) -> tuple[int, dict]:
 
 def _cmd_table(args) -> tuple[int, dict]:
     family = _FAMILIES[args.family]
-    rows = [[n, str(family_value(family, n))] for n in range(args.max + 1)]
+    rows = [[n, str(Fraction(u, 2))] for n, u in enumerate(doubled_values(family, args.max))]
     return 0, {"family": family.value, "max": args.max, "rows": rows}
 
 

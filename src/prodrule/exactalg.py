@@ -369,7 +369,11 @@ def _split_roots(f: Poly) -> tuple[tuple[tuple[Fraction, int], ...], list[int]]:
     Denominators and content are cleared once.  Every candidate p/q in
     lowest terms, p dividing the constant term and q the leading
     coefficient, is divided out by `_divide_linear` as often as it
-    divides exactly; the cofactor is the last primitive quotient.
+    divides exactly; the cofactor is the last primitive quotient.  A
+    candidate is tried only when q - p divides f(1) and q + p divides
+    f(-1), as f = (q c - p) g forces over Z; for q = p or q = -p the
+    test reads f(1) = 0 or f(-1) = 0.  Both values are C-level sums,
+    taken again after each division that succeeds.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial vanishes everywhere")
@@ -387,17 +391,24 @@ def _split_roots(f: Poly) -> tuple[tuple[tuple[Fraction, int], ...], list[int]]:
             if math.gcd(p, q) == 1
             for sign in (1, -1)
         ]
+        at_one, at_minus_one = sum(work), sum(work[::2]) - sum(work[1::2])
         for p, q in candidates:
             mult = 0
-            while len(work) > 1:
+            while len(work) > 1 and _divides(q - p, at_one) and _divides(q + p, at_minus_one):
                 quo = _divide_linear(work, p, q)
                 if quo is None:
                     break
                 work = quo
+                at_one, at_minus_one = sum(work), sum(work[::2]) - sum(work[1::2])
                 mult += 1
             if mult:
                 found.append((Fraction(p, q), mult))
     return tuple(sorted(found)), work
+
+
+def _divides(d: int, n: int) -> bool:
+    """d | n over Z, where 0 divides only 0."""
+    return n % d == 0 if d else not n
 
 
 def rational_roots(f: Poly) -> tuple[tuple[Fraction, int], ...]:

@@ -44,8 +44,11 @@ raises TypeError.
 `residual_numerator` turns one (m, n) instance of the product rule into
 a polynomial constraint on c: the instance holds exactly at the roots.
 The five closed-form solution families live in `FamilyId`; each is
-defined by its integer closed form u(n) = 2 T(n) (`doubled_form`), and
-`family_value` is u(n)/2.
+defined once, as data in `FAMILY_PIECES`: a period M and, for each
+residue class r mod M, one integer piece (c, b, a) of its closed form
+u(x) = 2 T(x) = c + b x + a x^2 for x = r (mod M).  `doubled_form`
+evaluates u at a point, `doubled_values` lists u(0..N) one class at a
+time, and `family_value` is u(n)/2.
 """
 
 from __future__ import annotations
@@ -61,10 +64,13 @@ from .exactalg import Poly, RatFunc, _add, _coeff, _homogeneous_eval, _mul, _neg
 
 __all__ = [
     "DEFAULT_MAX_INDEX",
+    "FAMILY_PIECES",
     "FamilyId",
     "SymbolicTable",
     "derive_d",
     "doubled_form",
+    "doubled_values",
+    "family_pieces",
     "family_value",
     "residual",
     "residual_numerator",
@@ -97,31 +103,51 @@ class FamilyId(enum.Enum):
     TRIANGULAR = "triangular"    # T(n) = n(n + 1)/2
 
 
-# u(n) = 2 T(n) for each family: every family value is a half-integer, so
-# this integer closed form is the one definition the families have
-_DOUBLED = {
-    FamilyId.ZERO: lambda n: 0,
-    FamilyId.HALF: lambda n: 1,
-    # T(0) = 0 and T(2k) = T(2k - 1) = k, which is ceil(n / 2)
-    FamilyId.CEIL_HALF: lambda n: (n + 1) // 2 * 2,
-    FamilyId.PERIOD3: lambda n: 2 if n % 3 == 1 else 0,
-    FamilyId.TRIANGULAR: lambda n: n * (n + 1),
+# each family as data: u(x) = 2 T(x) = c + b x + a x^2 for x = r (mod M),
+# with pieces[r] = (c, b, a) and the period M = len(pieces)
+FAMILY_PIECES = {
+    FamilyId.ZERO: ((0, 0, 0),),
+    FamilyId.HALF: ((1, 0, 0),),
+    # T(2k) = T(2k - 1) = k, which is ceil(n / 2)
+    FamilyId.CEIL_HALF: ((0, 1, 0), (1, 1, 0)),
+    FamilyId.PERIOD3: ((0, 0, 0), (2, 0, 0), (0, 0, 0)),
+    FamilyId.TRIANGULAR: ((0, 1, 1),),
 }
+
+
+def family_pieces(family: FamilyId) -> tuple[tuple[int, int, int], ...]:
+    """The pieces (c, b, a) of a family's u = 2T, one per residue class."""
+    try:
+        return FAMILY_PIECES[family]
+    except (KeyError, TypeError):
+        raise TypeError(f"unknown family {family!r}") from None
+
+
+def _piece_value(pieces: tuple[tuple[int, int, int], ...], n: int) -> int:
+    c, b, a = pieces[n % len(pieces)]
+    return c + (b + a * n) * n
 
 
 def doubled_form(family: FamilyId) -> Callable[[int], int]:
     """The integer closed form u(n) = 2 T(n) of a family, for n >= 0."""
-    try:
-        return _DOUBLED[family]
-    except (KeyError, TypeError):
-        raise TypeError(f"unknown family {family!r}") from None
+    return functools.partial(_piece_value, family_pieces(family))
+
+
+def doubled_values(family: FamilyId, top: int) -> list[int]:
+    """u(0), ..., u(top) of a family's pieces, one comprehension per class."""
+    pieces = family_pieces(family)
+    period = len(pieces)
+    out = [0] * (top + 1)
+    for r, (c, b, a) in enumerate(pieces[:top + 1]):
+        out[r::period] = [c + (b + a * x) * x for x in range(r, top + 1, period)]
+    return out
 
 
 def family_value(family: FamilyId, n: int) -> Fraction:
     """Closed-form value of one of the five solution families at index n.
 
     This is u(n)/2 for the family's integer closed form u = 2T of
-    `doubled_form`, the single source of truth for the family.
+    `doubled_form`, read off the family's pieces.
     """
     if n < 0:
         raise ValueError("sequence indices start at 0")

@@ -2,20 +2,22 @@
 
 Closed-form families are checked exhaustively on a full square (m, n)
 grid, and symbolic specializations are checked index by index against a
-family's closed form.  The grid runs on each family's integer closed form
-u(n) = 2 T(n) (`seqengine.doubled_form`), the single source of truth for
-the family, so it needs plain integers only and O(N) memory.  The rule
-is symmetric in m and n, so the N(N+1)/2 cells with m <= n decide all N^2
-cells of the grid; a report's `checked` counts the grid cells decided.  The
-specialization checks evaluate the symbolic table at a rational c0 on the
-integer evaluator of `seqengine`: c0 and D(c0) are turned into ints once
-per call, each value comes back as two ints top/bottom, and the checks
-cross-multiply them, so no `Poly` or `RatFunc` is made and a `Fraction`
-is built only for a reported hit or failure.  Every rational c0 is in the
-domain, since D = c^2 + 2c - 1 has no rational root; a c0 that is not an
-int or a `Fraction`, a float included, raises TypeError whatever the
-bound.  Everything is exact: a report either carries an empty failure
-list or pinpoints the offending pairs with their exact `Fraction` sides.
+family's closed form.  Both read the family as data, its pieces of
+u = 2T in `seqengine.FAMILY_PIECES`, so they need plain integers only.
+The grid decides each row with one packed integer equation whose slots
+are wide enough that equality holds exactly when every cell of the row
+does (see `verify_family`), in O(M N) memory for a family of period M;
+only a failing row is rechecked cell by cell.  A report's `checked`
+counts the grid cells decided.  The specialization checks evaluate the
+symbolic table at a rational c0 on the integer evaluator of `seqengine`:
+c0 and D(c0) are turned into ints once per call, each value comes back
+as two ints top/bottom, and the checks cross-multiply them, so no `Poly`
+or `RatFunc` is made and a `Fraction` is built only for a reported hit
+or failure.  Every rational c0 is in the domain, since D = c^2 + 2c - 1
+has no rational root; a c0 that is not an int or a `Fraction`, a float
+included, raises TypeError whatever the bound.  Everything is exact: a
+report either carries an empty failure list or pinpoints the offending
+pairs with their exact `Fraction` sides.
 """
 
 from __future__ import annotations
@@ -25,14 +27,15 @@ from fractions import Fraction
 
 # residual_numerator is unused here but stays importable: perfbench/tracer.py patches it
 from .seqengine import (  # noqa: F401
-    DEFAULT_MAX_INDEX,
     FamilyId,
     SymbolicTable,
     _fill,
     _ints_at,
     _point,
+    _piece_value,
     _residual_pair,
-    doubled_form,
+    doubled_values,
+    family_pieces,
     family_value,
     residual_numerator,
 )
@@ -81,35 +84,70 @@ class VerifyReport:
         }
 
 
+def _pack(values: list[int], width: int) -> int:
+    """Kronecker packing: the sum of values[i] 2^(8 width i), each |value| < 2^(8 width - 1)."""
+    half = 1 << (8 * width - 1)
+    ones = int.from_bytes((b"\1" + bytes(width - 1)) * len(values), "little")
+    raw = b"".join((v + half).to_bytes(width, "little") for v in values)
+    return int.from_bytes(raw, "little") - half * ones
+
+
 def verify_family(family: FamilyId, max_mn: int) -> VerifyReport:
     """Check T(mn) = T(m)T(n) + T(m-1)T(n-1) for every 1 <= m, n <= max_mn.
 
-    Runs on the family's integer closed form u = 2T, where the rule reads
-    2 u(mn) = u(m)u(n) + u(m-1)u(n-1).  Both sides are symmetric in m and
-    n, so cell (n, m) is the same integer equation as cell (m, n): row m
-    decides only n = m..N, N(N+1)/2 equations from N + 1 + N(N+1)/2
-    evaluations of u, in O(N) memory.  A failing cell (m, n) is reported
-    with its mirror (n, m), both with the same exact `Fraction` sides,
-    and the failures are listed in row-major order of the full grid.
-    `checked` counts the N^2 grid cells decided, not the equations
-    evaluated.
+    Runs on the family's pieces: u = 2T is c + b x + a x^2 on each residue
+    class x = r (mod M), and the rule reads 2 u(mn) = u(m)u(n) + u(m-1)u(n-1).
+    Row m is decided by one integer equation 2 L_m == R_m, with
+    L_m = sum_n u(mn) X^(n-1) and R_m = u(m) U + u(m-1) U' over slots
+    X = 2^B, where U and U' pack u(1..N) and u(0..N-1) (Kronecker
+    substitution).  The class of mn is that of m times that of n, so
+    2 L_m = A_0 + m A_1 + m^2 A_2, where A_j packs the j-th coefficient
+    of n's piece times 2 n^j and depends on m only through its class:
+    3 min(M, N + 1) packed integers, built once per grid, O(M N) memory.
+    B is a whole number of bytes with every slot of both sides below
+    2^(B-1) in absolute value, so the two integers are equal exactly when
+    every cell of the row holds: the lowest slot where they differ would
+    have to be a multiple of 2^B.
+
+    Both sides are symmetric in m and n, so a failing row reruns the
+    cell-by-cell check on n = m..N only.  A failing cell (m, n) is
+    reported with its mirror (n, m), both with the same exact `Fraction`
+    sides, and the failures are listed in row-major order of the full
+    grid.  `checked` counts the N^2 grid cells decided.
     """
     if max_mn < 1:
         raise ValueError("max_mn must be positive")
-    u = doubled_form(family)
-    us = [u(k) for k in range(max_mn + 1)]
+    pieces = family_pieces(family)
+    period = len(pieces)
+    us = doubled_values(family, max_mn)
+    square = max_mn * max_mn
+    bound = 2 * max(
+        max(abs(c) + (abs(b) + abs(a) * square) * square for c, b, a in pieces),
+        max(map(abs, us)) ** 2,
+    )
+    width = bound.bit_length() // 8 + 1
+    ns = range(1, max_mn + 1)
+    rows = []
+    for r in range(min(period, max_mn + 1)):
+        row = [pieces[r * n % period] for n in ns]
+        rows.append(tuple(
+            _pack([2 * p[j] * n**j for n, p in zip(ns, row)], width) if any(p[j] for p in row) else 0
+            for j in range(3)
+        ))
+    here, below = _pack(us[1:], width), _pack(us[:-1], width)
     failures: list[CheckFailure] = []
-    for m in range(1, max_mn + 1):
+    for m in ns:
+        a0, a1, a2 = rows[m % period]
         um, um1 = us[m], us[m - 1]
-        lhs = [2 * u(mn) for mn in range(m * m, m * max_mn + 1, m)]
-        rhs = [um * un + um1 * un1 for un, un1 in zip(us[m:], us[m - 1:])]
-        if lhs != rhs:
-            for n, left, right in zip(range(m, max_mn + 1), lhs, rhs):
-                if left != right:
-                    sides = Fraction(left, 4), Fraction(right, 4)
-                    failures.append(CheckFailure(m, n, *sides))
-                    if n != m:
-                        failures.append(CheckFailure(n, m, *sides))
+        if a0 + m * (a1 + m * a2) == um * here + um1 * below:
+            continue
+        for n in range(m, max_mn + 1):
+            left, right = 2 * _piece_value(pieces, m * n), um * us[n] + um1 * us[n - 1]
+            if left != right:
+                sides = Fraction(left, 4), Fraction(right, 4)
+                failures.append(CheckFailure(m, n, *sides))
+                if n != m:
+                    failures.append(CheckFailure(n, m, *sides))
     failures.sort(key=lambda f: (f.m, f.n))
     return VerifyReport(
         subject=f"family:{family.value}",
@@ -127,23 +165,25 @@ def crosscheck_specialization(
 ) -> VerifyReport:
     """Compare the symbolic T(n) evaluated at c0 with a family's closed form.
 
-    The reach is checked once, before any entry is filled.  For n = 0..max_n,
+    The reach is checked once, before any entry is filled; with no table
+    given it is that of a default `SymbolicTable()`.  For n = 0..max_n,
     T(n)(c0) = top/bottom is compared with the family's integer closed form
-    u(n) as 2 top == u(n) bottom, exact for either sign of bottom.  Only a
-    failing index builds its exact sides: lhs T(n)(c0), rhs `family_value`.
+    u(n), listed once by `doubled_values`, as 2 top == u(n) bottom, exact
+    for either sign of bottom.  Only a failing index builds its exact
+    sides: lhs T(n)(c0), rhs `family_value`.
     """
     point = _point(c0)
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     if table is None:
-        table = SymbolicTable(max(DEFAULT_MAX_INDEX, max_n))
+        table = SymbolicTable()
     if max_n > table.max_index:   # refused before any fill, as at the first index past the reach
         table._entry(table.max_index + 1)
-    u = doubled_form(family)
+    us = doubled_values(family, max_n)
     failures: list[CheckFailure] = []
-    for n in range(max_n + 1):
+    for n, u in enumerate(us):
         top, bottom = _ints_at(_fill(n), *point)
-        if 2 * top != u(n) * bottom:
+        if 2 * top != u * bottom:
             failures.append(CheckFailure(n, n, Fraction(top, bottom), family_value(family, n)))
     return VerifyReport(
         subject=f"c={c0}->{family.value}",

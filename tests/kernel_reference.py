@@ -286,6 +286,11 @@ def derive_d():
     return RatFunc(-const, lin)
 
 
+def constant_pieces(u, top):
+    """The sequence u(0..top) as a family's data: one constant piece per index, period top + 1."""
+    return tuple((u(k), 0, 0) for k in range(top + 1))
+
+
 def crosscheck_specialization(c0, family, max_n, table=None):
     """The crosscheck as it was: `value_at` at each index, refusing an index past the reach when met."""
     c0 = _coeff(c0)

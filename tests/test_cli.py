@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
+import kernel_reference as ref
 import prodrule.cli as cli
-import prodrule.veritool as veritool
+import prodrule.seqengine as seqengine
 from prodrule.cli import run
 from prodrule.exactalg import Poly
 from prodrule.seqengine import FamilyId, derive_d, doubled_form
@@ -124,27 +125,26 @@ def test_stdout_matches_golden(capsys, case):
     _assert_golden_output(capsys, case)
 
 
-def _corrupt(family):
-    u = doubled_form(family)
-    if family is FamilyId.CEIL_HALF:
-        return lambda n: 7 if n == 6 else u(n)
-    return u
+def _golden_argv(case, monkeypatch):
+    """The argv of a golden case, corrupting ceilhalf for a "corrupt" case.
+
+    The corrupted ceilhalf is data: one constant piece per index up to N^2,
+    the largest index an N x N grid reads.
+    """
+    argv = case.split()
+    if argv[0] == "corrupt":
+        argv = argv[1:]
+        grid = int(argv[argv.index("--max") + 1])
+        u = doubled_form(FamilyId.CEIL_HALF)
+        pieces = ref.constant_pieces(lambda n: 7 if n == 6 else u(n), grid * grid)
+        monkeypatch.setitem(seqengine.FAMILY_PIECES, FamilyId.CEIL_HALF, pieces)
+    return argv
 
 
 @pytest.mark.parametrize("case", [k for k in GOLDEN if k.startswith("corrupt ")])
 def test_failing_verify_stdout_matches_golden(capsys, monkeypatch, case):
-    monkeypatch.setattr(veritool, "doubled_form", _corrupt)
-    assert run(case.split()[1:]) == GOLDEN[case]["exit"] == 1
+    assert run(_golden_argv(case, monkeypatch)) == GOLDEN[case]["exit"] == 1
     _assert_golden_output(capsys, case)
-
-
-def _golden_argv(case, monkeypatch):
-    """The argv of a golden case, corrupting ceilhalf for a "corrupt" case."""
-    argv = case.split()
-    if argv[0] == "corrupt":
-        monkeypatch.setattr(veritool, "doubled_form", _corrupt)
-        argv = argv[1:]
-    return argv
 
 
 @pytest.mark.parametrize("case", list(GOLDEN))

@@ -323,8 +323,13 @@ def test_homogeneous_eval_is_the_scaled_value(coeffs, p, q):
     assert _homogeneous_eval(coeffs, p, q) == want
 
 
+# roots at 1 and -1 make the divisor pretest read f(1) = 0 or f(-1) = 0
 planted_roots = st.lists(
-    st.tuples(st.fractions(min_value=-5, max_value=5, max_denominator=5), st.integers(1, 3)),
+    st.tuples(
+        st.one_of(st.sampled_from([Fraction(1), Fraction(-1)]),
+                  st.fractions(min_value=-5, max_value=5, max_denominator=5)),
+        st.integers(1, 3),
+    ),
     max_size=3,
 )
 small_polys = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=4), max_size=4).map(Poly)
@@ -332,6 +337,9 @@ small_polys = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=4
 
 @settings(max_examples=80, deadline=None)
 @given(roots=planted_roots, cofactor=small_polys.filter(lambda f: not f.is_zero), k=nonzero_rationals)
+@example(roots=[(Fraction(1), 3), (Fraction(-1), 2)], cofactor=Poly((1,)), k=Fraction(1))
+@example(roots=[(Fraction(1), 1), (Fraction(1, 2), 2)], cofactor=Poly((-1, 0, 1)), k=Fraction(-3, 2))
+@example(roots=[(Fraction(-1), 2), (Fraction(3), 1)], cofactor=Poly((1, 1)), k=Fraction(2))
 def test_integer_candidate_test_matches_fraction_horner(roots, cofactor, k):
     f = cofactor * k
     for root, mult in roots:
@@ -362,6 +370,7 @@ fractional_roots = st.lists(
 @example(roots=[], zeros=0, cofactor=Poly((5,)), k=Fraction(-1, 3))
 @example(roots=[], zeros=2, cofactor=Poly((Fraction(3, 4),)), k=Fraction(1))
 @example(roots=[(Fraction(2, 3), 4), (Fraction(-1, 2), 1)], zeros=1, cofactor=Poly((1, 0, 1)), k=Fraction(-7, 2))
+@example(roots=[(Fraction(1), 2), (Fraction(-1), 3), (Fraction(1, 2), 1)], zeros=1, cofactor=Poly((1, 0, 1)), k=Fraction(5))
 def test_root_extraction_matches_the_fraction_reference(roots, zeros, cofactor, k):
     f = cofactor * k * C**zeros
     for root, mult in roots:

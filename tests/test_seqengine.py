@@ -27,6 +27,7 @@ from prodrule.seqengine import (
     C_POLY,
     D_DENOM,
     D_NUMER,
+    DEFAULT_MAX_INDEX,
     FamilyId,
     SymbolicTable,
     derive_d,
@@ -504,6 +505,14 @@ def test_a_refused_crosscheck_fills_nothing():
             ref.crosscheck_specialization(3, FamilyId.TRIANGULAR, 40, SymbolicTable(16))
         assert sorted(entries) == list(range(17))
     assert str(refused.value) == str(former.value)
+
+
+def test_a_crosscheck_without_a_table_keeps_the_default_reach():
+    # the table it makes is a default one: 20,000 is refused before any fill
+    before = dict(seqengine._ENTRIES)
+    with pytest.raises(ValueError, match=f"supported range {DEFAULT_MAX_INDEX}"):
+        crosscheck_specialization(3, FamilyId.TRIANGULAR, 20_000)
+    assert seqengine._ENTRIES == before
 
 
 def test_threads_with_their_own_tables_fill_one_memo_consistently(monkeypatch):

@@ -52,6 +52,11 @@ def _corrupted(family, k, bad_u):
     return lambda n: bad_u if n == k else u(n)
 
 
+def _inject(mp, family, max_mn, u):
+    """Make u the family's data, as constant pieces exact on every index of an N x N grid."""
+    mp.setitem(seqengine.FAMILY_PIECES, family, ref.constant_pieces(u, max_mn * max_mn))
+
+
 def _reference_verify(family, max_mn, u):
     """The former verifier: a table of N^2 + 1 `Fraction`s, then the grid."""
     values = [Fraction(u(k), 2) for k in range(max_mn * max_mn + 1)]
@@ -94,7 +99,7 @@ def test_a_corrupted_family_fails_exactly_where_the_rule_breaks(
 ):
     grid = 30
     u = _corrupted(family, k, bad_u)
-    monkeypatch.setattr(veritool, "doubled_form", lambda fam: u)
+    _inject(monkeypatch, family, grid, u)
     report = verify_family(family, grid)
 
     def t(n):
@@ -125,7 +130,7 @@ def test_streaming_verify_matches_the_fraction_table(family, max_mn, data):
     bad_u = data.draw(st.integers(-10**6, 10**6), label="bad_u")
     u = _corrupted(family, k, bad_u)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(veritool, "doubled_form", lambda fam: u)
+        _inject(mp, family, max_mn, u)
         report = verify_family(family, max_mn)
     want = _reference_verify(family, max_mn, u)
     assert report.to_dict() == want.to_dict()
@@ -162,7 +167,33 @@ def test_streaming_verify_matches_the_fraction_table_on_two_corruptions(case):
         return bad.get(n, base(n))
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(veritool, "doubled_form", lambda fam: u)
+        _inject(mp, family, max_mn, u)
+        report = verify_family(family, max_mn)
+    want = _reference_verify(family, max_mn, u)
+    assert report.to_dict() == want.to_dict()
+    assert report.failures == want.failures
+
+
+_coefficients = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6), st.sampled_from([2**70, -2**70]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pieces=st.lists(st.tuples(_coefficients, _coefficients, _coefficients), min_size=1, max_size=5).map(tuple),
+    max_mn=st.integers(1, 30),
+)
+@example(pieces=((2**70, -2**70, 2**70),), max_mn=30)
+@example(pieces=((0, 1, 0), (1, 1, 0), (0, 0, 0)), max_mn=12)
+@example(pieces=((0, 0, 0), (0, 1, 1)), max_mn=9)
+def test_packed_rows_match_the_fraction_table_on_random_pieces(pieces, max_mn):
+    family = FamilyId.TRIANGULAR
+
+    def u(n):
+        c, b, a = pieces[n % len(pieces)]
+        return c + b * n + a * n * n
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(seqengine.FAMILY_PIECES, family, pieces)
         report = verify_family(family, max_mn)
     want = _reference_verify(family, max_mn, u)
     assert report.to_dict() == want.to_dict()
@@ -170,20 +201,16 @@ def test_streaming_verify_matches_the_fraction_table_on_two_corruptions(case):
 
 
 @pytest.mark.parametrize("max_mn", [1, 2, 7, 40])
-def test_grid_evaluates_u_once_per_distinct_equation(monkeypatch, max_mn):
-    base = doubled_form(FamilyId.TRIANGULAR)
-    calls = 0
-
-    def counting(n):
-        nonlocal calls
-        calls += 1
-        return base(n)
-
-    monkeypatch.setattr(veritool, "doubled_form", lambda fam: counting)
-    report = verify_family(FamilyId.TRIANGULAR, max_mn)
+@pytest.mark.parametrize("family", list(FamilyId))
+def test_a_passing_grid_evaluates_u_only_up_to_n(monkeypatch, family, max_mn):
+    # u(0..N) once, from the list helper; no cell-by-cell evaluation of u(mn)
+    tops = []
+    values = seqengine.doubled_values
+    monkeypatch.setattr(veritool, "doubled_values", lambda fam, top: tops.append(top) or values(fam, top))
+    monkeypatch.setattr(veritool, "_piece_value", lambda pieces, n: pytest.fail(f"u({n}) evaluated"))
+    report = verify_family(family, max_mn)
     assert report.ok and report.checked == max_mn * max_mn
-    # u(0..N) once, then u(mn) once for each cell with m <= n
-    assert calls == (max_mn + 1) + max_mn * (max_mn + 1) // 2
+    assert tops == [max_mn]
 
 
 # 360,001 `Fraction`s alone take about 30 MiB under tracemalloc; the
