@@ -57,7 +57,11 @@ PERIOD3_NOTE = (
 
 
 class WeakProbesError(ValueError):
-    """Every probe residual vanished identically, so nothing constrains c."""
+    """Every probe residual vanished identically, so nothing constrains c.
+
+    One does when m or n is a power of 2, as proved in `solve_c`; that no
+    other pair does is only checked, for mn <= 4096.
+    """
 
 
 class Branch(enum.Enum):
@@ -212,8 +216,11 @@ def solve_c(
     the unresolved common factor.  A float index raises TypeError.
 
     Raises WeakProbesError when every probe residual is identically zero.
-    The (m, n) residual vanishes identically exactly when m or n is a
-    power of 2 (checked for every 2 <= m <= n with mn <= 4096), so the
+    The (m, n) residual vanishes identically when m or n is a power of 2:
+    (T(2k), T(2k-1)) = H (T(k), T(k-1)) for k >= 1 with the symmetric
+    H = [[c, 1], [1, d - c]], so the first row of H^j is its first column
+    (T(2^j), T(2^j - 1)) and T(2^j k) = T(2^j) T(k) + T(2^j - 1) T(k-1).
+    That no other pair vanishes is only checked, for mn <= 4096, so the
     probes need a pair with neither component a power of 2.
     """
     probes = [(operator.index(m), operator.index(n)) for m, n in probe_pairs]

@@ -36,7 +36,8 @@ Evaluation at a rational point c0 = p/q stays in integers: `_point`
 gives p, q and q^2 D(c0) once per call, and `_ints_at` gives a pair's
 P(c0)/D(c0)^e as ints top/bottom by homogenised Horner sums.
 `SymbolicTable.value_at` and `residual_numerator_at` build one `Fraction`
-from them; the checks in `veritool` cross-multiply them instead.  D has
+from them; the checks in `veritool` cross-multiply them instead, and
+`walk_value` reaches any single T(n)(c0) with no table.  D has
 no rational root, so every rational c0 is in the domain and bottom is
 never 0, though it may be negative (D(0) = -1); a float index or c0
 raises TypeError.
@@ -75,9 +76,11 @@ __all__ = [
     "residual",
     "residual_numerator",
     "residual_numerator_at",
+    "walk_value",
 ]
 
 DEFAULT_MAX_INDEX = 1024
+WALK_MAX_BITS = 1 << 16   # the largest scale den s^k, in bits, that walk_value accepts
 
 # integer polynomials are tuples of ints, constant term first, no trailing zeros
 _C = (0, 1)
@@ -214,6 +217,34 @@ def _ints_at(pair: tuple[tuple[int, ...], int], num: int, den: int, d: int) -> t
     if shift >= 0:
         return top * den**shift, d**e
     return top, den**-shift * d**e
+
+
+def walk_value(n: int, c0) -> Fraction:
+    """T(n) at c = c0 by one walk over the bits of n, with no table or memo.
+
+    With V(k) = (T(k+1), T(k), T(k-1)) and g = d - c, the halving identities
+    read V(2k) = [[1, g, 0], [0, c, 1], [0, 1, g]] V(k) and
+    V(2k+1) = [[c, 1, 0], [1, g, 0], [0, c, 1]] V(k) for k >= 1: each bit of
+    n after its leading 1 is one step from V(1) = (c, 1, 0).  The steps run
+    in ints, on s = den d times their entries at the `_point` (num, den, d)
+    of c0, and a walk whose scale den s^k would pass `WALK_MAX_BITS` bits
+    raises ValueError before it starts.
+    """
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("sequence indices start at 0")
+    num, den, d = _point(c0)
+    s, steps = den * d, max(n.bit_length() - 1, 0)
+    if steps * s.bit_length() + den.bit_length() > WALK_MAX_BITS:
+        raise ValueError(f"the walk needs integers of more than {WALK_MAX_BITS} bits")
+    cs, gs = num * d, _homogeneous_eval(_D_MINUS_C, num, den)
+    a, b, e = num, den, 0   # den V(1)
+    for bit in bin(n)[3:]:
+        if bit == "1":
+            a, b, e = cs * a + s * b, s * a + gs * b, cs * b + s * e
+        else:
+            a, b, e = s * a + gs * b, cs * b + s * e, s * b + gs * e
+    return Fraction(b, den * s**steps) if n else Fraction(0)
 
 
 # the one entry memo, shared by all tables like _D_POWERS and seeded with

@@ -1,23 +1,14 @@
 """Brute-force oracle for the product rule.
 
 Closed-form families are checked exhaustively on a full square (m, n)
-grid, and symbolic specializations are checked index by index against a
-family's closed form.  Both read the family as data, its pieces of
-u = 2T in `seqengine.FAMILY_PIECES`, so they need plain integers only.
-The grid decides each row with one packed integer equation whose slots
-are wide enough that equality holds exactly when every cell of the row
-does (see `verify_family`), in O(M N) memory for a family of period M;
-only a failing row is rechecked cell by cell.  A report's `checked`
-counts the grid cells decided.  The specialization checks evaluate the
-symbolic table at a rational c0 on the integer evaluator of `seqengine`:
-c0 and D(c0) are turned into ints once per call, each value comes back
-as two ints top/bottom, and the checks cross-multiply them, so no `Poly`
-or `RatFunc` is made and a `Fraction` is built only for a reported hit
-or failure.  Every rational c0 is in the domain, since D = c^2 + 2c - 1
-has no rational root; a c0 that is not an int or a `Fraction`, a float
-included, raises TypeError whatever the bound.  Everything is exact: a
-report either carries an empty failure list or pinpoints the offending
-pairs with their exact `Fraction` sides.
+grid, and symbolic specializations index by index against a family's
+closed form.  Both read a family as data, its integer pieces of u = 2T
+in `seqengine.FAMILY_PIECES`, and the specialization checks evaluate the
+symbolic table with the integer point evaluator of `seqengine`.  A c0
+that is not an int or a `Fraction`, a float included, raises TypeError
+whatever the bound.  Everything is exact: a report either carries an
+empty failure list or pinpoints the offending pairs with their exact
+`Fraction` sides.
 """
 
 from __future__ import annotations
@@ -84,70 +75,55 @@ class VerifyReport:
         }
 
 
-def _pack(values: list[int], width: int) -> int:
-    """Kronecker packing: the sum of values[i] 2^(8 width i), each |value| < 2^(8 width - 1)."""
-    half = 1 << (8 * width - 1)
-    ones = int.from_bytes((b"\1" + bytes(width - 1)) * len(values), "little")
-    raw = b"".join((v + half).to_bytes(width, "little") for v in values)
-    return int.from_bytes(raw, "little") - half * ones
-
-
 def verify_family(family: FamilyId, max_mn: int) -> VerifyReport:
     """Check T(mn) = T(m)T(n) + T(m-1)T(n-1) for every 1 <= m, n <= max_mn.
 
-    Runs on the family's pieces: u = 2T is c + b x + a x^2 on each residue
-    class x = r (mod M), and the rule reads 2 u(mn) = u(m)u(n) + u(m-1)u(n-1).
-    Row m is decided by one integer equation 2 L_m == R_m, with
-    L_m = sum_n u(mn) X^(n-1) and R_m = u(m) U + u(m-1) U' over slots
-    X = 2^B, where U and U' pack u(1..N) and u(0..N-1) (Kronecker
-    substitution).  The class of mn is that of m times that of n, so
-    2 L_m = A_0 + m A_1 + m^2 A_2, where A_j packs the j-th coefficient
-    of n's piece times 2 n^j and depends on m only through its class:
-    3 min(M, N + 1) packed integers, built once per grid, O(M N) memory.
-    B is a whole number of bytes with every slot of both sides below
-    2^(B-1) in absolute value, so the two integers are equal exactly when
-    every cell of the row holds: the lowest slot where they differ would
-    have to be a multiple of 2^B.
-
-    Both sides are symmetric in m and n, so a failing row reruns the
-    cell-by-cell check on n = m..N only.  A failing cell (m, n) is
-    reported with its mirror (n, m), both with the same exact `Fraction`
-    sides, and the failures are listed in row-major order of the full
-    grid.  `checked` counts the N^2 grid cells decided.
+    The family's u = 2T is c + b x + a x^2 for x = r (mod M), and the rule
+    reads 2 u(mn) = u(m)u(n) + u(m-1)u(n-1).  All rows m = r (mod M) are
+    decided at once: u(m) = alpha . (1, m, m^2) with alpha = pieces[r],
+    u(m-1) = beta . (1, m, m^2) with beta = (c' - b' + a', b' - 2a', a')
+    from (c', b', a') = pieces[r - 1], and mn = r n (mod M), so the defect
+    of cell (m, n) is sum_j m^j E_j(n) with
+    E_j(n) = 2 coef_j(pieces[r n]) n^j - alpha_j u(n) - beta_j u(n-1).
+    Each E_j is two lists of ints compared with `==`, for j up to the
+    largest degree of any piece (above it every term is 0): time O(M N),
+    memory O(N).  Only a class whose lists differ reruns the cell-by-cell
+    check, on n = m..N for each of its rows since the rule is symmetric;
+    it decides each cell itself, so it is exact however few rows the class
+    has.  A failing cell (m, n) is reported with its mirror (n, m), both
+    with the same exact `Fraction` sides, in row-major order of the full
+    grid; `checked` counts the N^2 grid cells decided.
     """
     if max_mn < 1:
         raise ValueError("max_mn must be positive")
     pieces = family_pieces(family)
     period = len(pieces)
     us = doubled_values(family, max_mn)
-    square = max_mn * max_mn
-    bound = 2 * max(
-        max(abs(c) + (abs(b) + abs(a) * square) * square for c, b, a in pieces),
-        max(map(abs, us)) ** 2,
-    )
-    width = bound.bit_length() // 8 + 1
+    here, below = us[1:], us[:-1]
     ns = range(1, max_mn + 1)
-    rows = []
-    for r in range(min(period, max_mn + 1)):
-        row = [pieces[r * n % period] for n in ns]
-        rows.append(tuple(
-            _pack([2 * p[j] * n**j for n, p in zip(ns, row)], width) if any(p[j] for p in row) else 0
-            for j in range(3)
-        ))
-    here, below = _pack(us[1:], width), _pack(us[:-1], width)
+    degree = max((j for piece in pieces for j, coef in enumerate(piece) if coef), default=0)
+    powers = [[n**j for n in ns] for j in range(degree + 1)]
     failures: list[CheckFailure] = []
-    for m in ns:
-        a0, a1, a2 = rows[m % period]
-        um, um1 = us[m], us[m - 1]
-        if a0 + m * (a1 + m * a2) == um * here + um1 * below:
+    for first in range(1, min(period, max_mn) + 1):   # the first row of each class
+        r = first % period
+        alpha, row = pieces[r], [pieces[r * n % period] for n in ns]
+        c, b, a = pieces[r - 1]
+        beta = (c - b + a, b - 2 * a, a)
+        if all(
+            [2 * p[j] * x for p, x in zip(row, powers[j])]
+            == [alpha[j] * x + beta[j] * y for x, y in zip(here, below)]
+            for j in range(degree + 1)
+        ):
             continue
-        for n in range(m, max_mn + 1):
-            left, right = 2 * _piece_value(pieces, m * n), um * us[n] + um1 * us[n - 1]
-            if left != right:
-                sides = Fraction(left, 4), Fraction(right, 4)
-                failures.append(CheckFailure(m, n, *sides))
-                if n != m:
-                    failures.append(CheckFailure(n, m, *sides))
+        for m in range(first, max_mn + 1, period):
+            um, um1 = us[m], us[m - 1]
+            for n in range(m, max_mn + 1):
+                left, right = 2 * _piece_value(pieces, m * n), um * us[n] + um1 * us[n - 1]
+                if left != right:
+                    sides = Fraction(left, 4), Fraction(right, 4)
+                    failures.append(CheckFailure(m, n, *sides))
+                    if n != m:
+                        failures.append(CheckFailure(n, m, *sides))
     failures.sort(key=lambda f: (f.m, f.n))
     return VerifyReport(
         subject=f"family:{family.value}",

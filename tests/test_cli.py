@@ -61,6 +61,17 @@ def test_eval_rejects_negative_index(capsys):
     assert run(["eval", "--c", "3", "--n", "-1"]) == 2
 
 
+def test_eval_walks_to_any_index_and_refuses_what_it_cannot_reach(capsys):
+    n = 2**1100
+    assert run(["eval", "--c", "3", "--n", str(n)]) == 0
+    assert out_lines(capsys) == [str(n * (n + 1) // 2)]
+    # past the walk's 2^16-bit bound, and a triangular number of 8,598 digits
+    for argv in (["--c=-7/5", "--n", str(2**8192)], ["--c", "3", "--n", "9" * 4299]):
+        assert run(["eval", *argv, "--format", "json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: T(n) is out of reach: ") and err.count("\n") == 1
+
+
 def test_verify_one_family_text(capsys):
     assert run(["verify", "--family", "triangular", "--max", "50"]) == 0
     assert out_lines(capsys) == [

@@ -36,6 +36,7 @@ from prodrule.seqengine import (
     residual,
     residual_numerator,
     residual_numerator_at,
+    walk_value,
 )
 from prodrule.veritool import crosscheck_specialization
 
@@ -381,6 +382,33 @@ def test_the_point_evaluator_matches_poly_evaluation_on_any_pair(p, e, c0):
     assert Fraction(top, bottom) == Poly(p)(c0) / D_DENOM(c0) ** e
 
 
+@pytest.mark.parametrize("c0", [Fraction(0), Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2),
+                                Fraction(-7, 5), Fraction(-50, 11)])
+def test_the_walk_matches_value_at_up_to_1024(table, c0):
+    assert [walk_value(n, c0) for n in range(1025)] == [table.value_at(n, c0) for n in range(1025)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1025, 1 << 64), c0=points)
+@example(n=(1 << 64) - 1, c0=Fraction(3))
+@example(n=1 << 64, c0=Fraction(-7, 5))   # D(c0) < 0, all steps even
+@example(n=3**40, c0=Fraction(0))          # D(0) = -1
+def test_the_walk_matches_value_at_at_deep_indices(n, c0):
+    got = walk_value(n, c0)
+    assert type(got) is Fraction
+    assert got == SymbolicTable(n).value_at(n, c0)
+
+
+def test_the_walk_refuses_ints_past_its_bound():
+    # c0 = -7/5: den = 5 and s = den^3 D(c0) = -230, so den s^k has at most 3 + 8k bits
+    assert seqengine.WALK_MAX_BITS == 1 << 16
+    assert walk_value((1 << 8192) - 1, Fraction(-7, 5)).denominator.bit_length() <= 1 << 16
+    with pytest.raises(ValueError, match="more than 65536 bits"):
+        walk_value(1 << 8192, Fraction(-7, 5))
+    with pytest.raises(ValueError):
+        walk_value(-1, 3)
+
+
 def test_value_at_accepts_ints_and_checks_the_range():
     small = SymbolicTable(8)
     assert small.value_at(8, 3) == 36
@@ -402,6 +430,8 @@ def test_value_at_accepts_ints_and_checks_the_range():
         pytest.param(lambda t: t.value_at(5, 0.5), id="t.value_at(5, 0.5)"),
         pytest.param(lambda t: t.value(5)(0.5), id="t.value(5)(0.5)"),
         pytest.param(lambda t: residual_numerator_at(3, 5, 0.5, t), id="residual_numerator_at(3, 5, 0.5, t)"),
+        pytest.param(lambda t: walk_value(6.5, 3), id="walk_value(6.5, 3)"),
+        pytest.param(lambda t: walk_value(5, 0.5), id="walk_value(5, 0.5)"),
         # integral floats, each asked for after its int twin is memoized
         pytest.param(lambda t: (t.value(40), t.value(40.0)), id="t.value(40.0)"),
         pytest.param(lambda t: (residual_numerator(3, 5, t), residual_numerator(3, 5.0, t)),

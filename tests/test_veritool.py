@@ -185,7 +185,18 @@ _coefficients = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6), st.sam
 @example(pieces=((2**70, -2**70, 2**70),), max_mn=30)
 @example(pieces=((0, 1, 0), (1, 1, 0), (0, 0, 0)), max_mn=12)
 @example(pieces=((0, 0, 0), (0, 1, 1)), max_mn=9)
-def test_packed_rows_match_the_fraction_table_on_random_pieces(pieces, max_mn):
+# a class's lists differ, but every cell of its fewer than delta + 1 rows holds
+@example(pieces=((0, 1, -1),), max_mn=1)
+@example(pieces=((1, 0, 0), (1, 2, -2)), max_mn=2)
+@example(pieces=((0, 0, 0), (0, 2, -2), (-2, -1, 1), (2, -1, 1)), max_mn=2)
+# (1, 1) fails only through the m^2 term: E_0 = E_1 = 0 there
+@example(pieces=((0, 0, 1),), max_mn=1)
+# M > N, so classes hold 0 or 1 rows; then M < N with classes of 1 and 2 rows
+@example(pieces=((0, 1, 1), (0, 1, 0), (1, 1, 0), (0, 0, 0), (2, 0, 0)), max_mn=3)
+@example(pieces=((0, 1, 0), (1, 1, 0), (1, 0, 0), (0, 1, 1)), max_mn=3)
+@example(pieces=((0, 0, 0), (2, 0, 0), (0, 0, 0)), max_mn=5)
+@example(pieces=((0, 1, 1), (1, 1, 0), (0, 1, 0)), max_mn=5)
+def test_class_decision_matches_the_fraction_table_on_random_pieces(pieces, max_mn):
     family = FamilyId.TRIANGULAR
 
     def u(n):
@@ -200,7 +211,7 @@ def test_packed_rows_match_the_fraction_table_on_random_pieces(pieces, max_mn):
     assert report.failures == want.failures
 
 
-@pytest.mark.parametrize("max_mn", [1, 2, 7, 40])
+@pytest.mark.parametrize("max_mn", [1, 2, 3, 5, 7, 40])
 @pytest.mark.parametrize("family", list(FamilyId))
 def test_a_passing_grid_evaluates_u_only_up_to_n(monkeypatch, family, max_mn):
     # u(0..N) once, from the list helper; no cell-by-cell evaluation of u(mn)
