@@ -32,15 +32,15 @@ value.  Like d, each entry is a constant of the problem: each T(n) is
 derived once per process and shared by all tables, which differ only in
 their reach and their residual memos.
 
-Evaluation at a rational point c0 = p/q stays in integers: `_point`
-gives p, q and q^2 D(c0) once per call, and `_ints_at` gives a pair's
-P(c0)/D(c0)^e as ints top/bottom by homogenised Horner sums.
-`SymbolicTable.value_at` and `residual_numerator_at` build one `Fraction`
-from them; the checks in `veritool` cross-multiply them instead, and
-`walk_value` reaches any single T(n)(c0) with no table.  D has
-no rational root, so every rational c0 is in the domain and bottom is
-never 0, though it may be negative (D(0) = -1); a float index or c0
-raises TypeError.
+Evaluation at a rational point c0 = p/q stays in integers: `_point` gives
+p, q and d = q^2 D(c0) once per call, and a power vector w of degree
+k >= deg P, w[i] = p^i q^(k-i), gives s = q^k P(c0) = sum(map(mul, P, w))
+as a C-level dot product; then P(c0)/D(c0)^e = s q^(2e-k) / d^e.  The
+checks in `veritool` share one w per call.  D has no rational root, so
+d != 0, though D(0) = -1; a float index or c0 raises TypeError.  T(n) has
+deg P <= 3 log2 n, e <= log2 n (checked for n <= 4096) and coefficients
+of about 2.5 log2 n bits, which bounds len(w): T(1024) has degree 26,
+e = 8 and 18 bits, T(2^64 + 3) degree 188, e = 62 and 162 bits.
 
 `residual_numerator` turns one (m, n) instance of the product rule into
 a polynomial constraint on c: the instance holds exactly at the roots.
@@ -208,15 +208,21 @@ def _point(c0) -> tuple[int, int, int]:
     return num, den, _homogeneous_eval(_D, num, den)
 
 
-def _ints_at(pair: tuple[tuple[int, ...], int], num: int, den: int, d: int) -> tuple[int, int]:
-    """Ints (top, bottom) with P(c0)/D(c0)^e = top/bottom, at the `_point` (num, den, d) of c0."""
-    p, e = pair
-    # P(c0) = top / den^k with k = deg P, and D(c0) = d / den^2
-    top = _homogeneous_eval(p, num, den)
-    shift = 2 * e - len(p) + 1
-    if shift >= 0:
-        return top * den**shift, d**e
-    return top, den**-shift * d**e
+def _powers(num: int, den: int, k: int) -> list[int]:
+    """w[i] = num^i den^(k-i), i = 0..k: sum(map(mul, P, w)) = den^k P(num/den) for deg P <= k."""
+    return [num**i * den**(k - i) for i in range(k + 1)]
+
+
+def _scales(den: int, d: int, k: int, e: int) -> tuple[int, int]:
+    """Ints (a, b) with P(c0)/D(c0)^e = s a / b for s = den^k P(c0) and d = den^2 D(c0)."""
+    return (den**(2 * e - k), d**e) if 2 * e >= k else (1, den**(k - 2 * e) * d**e)
+
+
+def _value(p: tuple[int, ...], e: int, c0) -> Fraction:
+    """P(c0)/D(c0)^e of one pair (P, e), by a power vector of degree len(P) > deg P."""
+    num, den, d = _point(c0)
+    a, b = _scales(den, d, len(p), e)
+    return Fraction(sum(map(operator.mul, p, _powers(num, den, len(p)))) * a, b)
 
 
 def walk_value(n: int, c0) -> Fraction:
@@ -325,7 +331,7 @@ class SymbolicTable:
 
     def value_at(self, n: int, c0) -> Fraction:
         """T(n) at the rational point c = c0; equal to `value(n)(c0)`."""
-        return Fraction(*_ints_at(self._entry(n), *_point(c0)))
+        return _value(*self._entry(n), c0)
 
 
 # with d free, a value is a tuple of integer `Poly`s in c, the coefficients
@@ -420,4 +426,4 @@ def residual_numerator_at(m: int, n: int, c0, table: SymbolicTable | None = None
 
     Equal to `residual_numerator(m, n, table)(c0)`, without building a `Poly`.
     """
-    return Fraction(*_ints_at((_residual_pair(m, n, table)[0], 0), *_point(c0)))
+    return _value(_residual_pair(m, n, table)[0], 0, c0)

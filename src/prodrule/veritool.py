@@ -4,27 +4,30 @@ Closed-form families are checked exhaustively on a full square (m, n)
 grid, and symbolic specializations index by index against a family's
 closed form.  Both read a family as data, its integer pieces of u = 2T
 in `seqengine.FAMILY_PIECES`, and the specialization checks evaluate the
-symbolic table with the integer point evaluator of `seqengine`.  A c0
-that is not an int or a `Fraction`, a float included, raises TypeError
-whatever the bound.  Everything is exact: a report either carries an
-empty failure list or pinpoints the offending pairs with their exact
-`Fraction` sides.
+symbolic table by the dot products of `seqengine`, one power vector per
+call.  A c0 that is not an int or a `Fraction`, a float included, raises
+TypeError whatever the bound.  Everything is exact: a report either
+carries an empty failure list or pinpoints the offending pairs with
+their exact `Fraction` sides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
+from operator import mul
 
 # residual_numerator is unused here but stays importable: perfbench/tracer.py patches it
 from .seqengine import (  # noqa: F401
     FamilyId,
     SymbolicTable,
     _fill,
-    _ints_at,
-    _point,
     _piece_value,
+    _point,
+    _powers,
     _residual_pair,
+    _scales,
     doubled_values,
     family_pieces,
     family_value,
@@ -142,13 +145,14 @@ def crosscheck_specialization(
     """Compare the symbolic T(n) evaluated at c0 with a family's closed form.
 
     The reach is checked once, before any entry is filled; with no table
-    given it is that of a default `SymbolicTable()`.  For n = 0..max_n,
-    T(n)(c0) = top/bottom is compared with the family's integer closed form
-    u(n), listed once by `doubled_values`, as 2 top == u(n) bottom, exact
-    for either sign of bottom.  Only a failing index builds its exact
-    sides: lhs T(n)(c0), rhs `family_value`.
+    given it is that of a default `SymbolicTable()`.  T(0..max_n) share one
+    power vector of degree k, their largest deg P, so T(n)(c0) = s a / b for
+    a dot product s and (a, b) = `_scales` by e; the lists 2 s a and u(n) b,
+    u from `doubled_values`, are compared with one `==`, exact for either
+    sign of b.  Only indices where they differ build their exact sides,
+    from the same ints: lhs T(n)(c0), rhs `family_value`.
     """
-    point = _point(c0)
+    num, den, d = _point(c0)
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     if table is None:
@@ -156,11 +160,16 @@ def crosscheck_specialization(
     if max_n > table.max_index:   # refused before any fill, as at the first index past the reach
         table._entry(table.max_index + 1)
     us = doubled_values(family, max_n)
-    failures: list[CheckFailure] = []
-    for n, u in enumerate(us):
-        top, bottom = _ints_at(_fill(n), *point)
-        if 2 * top != u * bottom:
-            failures.append(CheckFailure(n, n, Fraction(top, bottom), family_value(family, n)))
+    pairs = [_fill(n) for n in range(max_n + 1)]
+    k = max(len(p) for p, _ in pairs) - 1
+    w = _powers(num, den, k)
+    scales = [_scales(den, d, k, e) for e in range(max(e for _, e in pairs) + 1)]
+    left = [2 * sum(map(mul, p, w)) * scales[e][0] for p, e in pairs]
+    right = [u * scales[e][1] for u, (_, e) in zip(us, pairs)]
+    failures = [] if left == right else [
+        CheckFailure(n, n, Fraction(x, 2 * scales[e][1]), family_value(family, n))
+        for n, (x, y, (_, e)) in enumerate(zip(left, right, pairs)) if x != y
+    ]
     return VerifyReport(
         subject=f"c={c0}->{family.value}",
         range=max_n,
@@ -176,20 +185,17 @@ def scan_candidate(
 ) -> list[tuple[int, int, Fraction]]:
     """Evaluate every probe numerator with 3 <= m <= n, mn <= max_prod at c0.
 
-    Each value is the canonical (m, n) residual numerator at c0, as ints
-    top/bottom from the integer evaluator.  Returns the nonzero entries as
-    (m, n, value) triples, building a `Fraction` only for those; a c0 that
-    genuinely generates a solution returns an empty list.
+    Each value is the canonical (m, n) residual numerator P at c0, s / den^k
+    for s its dot product with one power vector of degree k = max deg P.
+    Returns the nonzero values as (m, n, value) triples, building a
+    `Fraction` only for those; a genuine c0 returns an empty list.
     """
-    point = _point(c0)
+    num, den, _ = _point(c0)
     if table is None:
         table = SymbolicTable()
-    hits: list[tuple[int, int, Fraction]] = []
-    m = 3
-    while m * m <= max_prod:
-        for n in range(m, max_prod // m + 1):
-            top, bottom = _ints_at((_residual_pair(m, n, table)[0], 0), *point)
-            if top:
-                hits.append((m, n, Fraction(top, bottom)))
-        m += 1
-    return hits
+    probes = [(m, n) for m in range(3, isqrt(max(max_prod, 0)) + 1) for n in range(m, max_prod // m + 1)]
+    polys = [_residual_pair(m, n, table)[0] for m, n in probes]
+    k = max(map(len, polys), default=0) - 1
+    w = _powers(num, den, k)
+    values = [sum(map(mul, p, w)) for p in polys]
+    return [(m, n, Fraction(s, den**k)) for (m, n), s in zip(probes, values) if s]

@@ -7,10 +7,10 @@ shared linear factors out of each numerator, the classification that
 deflates the monic gcd of the probe numerators, rendering that compares
 `Fraction` coefficients, and the derivation of d over `Poly2`, a
 polynomial in d with `Poly` coefficients, and the `BivariateTable` that
-runs the halving identities with d free.  The specialisation checks as
-they were build one `Fraction` per value: the crosscheck through
-`SymbolicTable.value_at` at each index, the scan through
-`residual_numerator_at` at each probe.
+runs the halving identities with d free.  The point evaluator as it was,
+`_ints_at`, runs one homogenised Horner sum per pair, and the
+specialisation checks as they were build one `Fraction` per value from
+it: the crosscheck at each index, the scan at each probe.
 """
 
 import math
@@ -19,8 +19,15 @@ from fractions import Fraction
 from functools import reduce
 
 from prodrule.classifier import PERIOD3_NOTE
-from prodrule.exactalg import Poly, RatFunc, _coeff, _divisors, exact_div
-from prodrule.seqengine import DEFAULT_MAX_INDEX, SymbolicTable, doubled_form, family_value, residual_numerator_at
+from prodrule.exactalg import Poly, RatFunc, _divisors, _homogeneous_eval, exact_div
+from prodrule.seqengine import (
+    DEFAULT_MAX_INDEX,
+    SymbolicTable,
+    _point,
+    _residual_pair,
+    doubled_form,
+    family_value,
+)
 from prodrule.veritool import CheckFailure, VerifyReport
 
 
@@ -291,9 +298,20 @@ def constant_pieces(u, top):
     return tuple((u(k), 0, 0) for k in range(top + 1))
 
 
+def _ints_at(pair, num, den, d):
+    """Ints (top, bottom) with P(c0)/D(c0)^e = top/bottom, at the `_point` (num, den, d) of c0."""
+    p, e = pair
+    # P(c0) = top / den^k with k = deg P, and D(c0) = d / den^2
+    top = _homogeneous_eval(p, num, den)
+    shift = 2 * e - len(p) + 1
+    if shift >= 0:
+        return top * den**shift, d**e
+    return top, den**-shift * d**e
+
+
 def crosscheck_specialization(c0, family, max_n, table=None):
-    """The crosscheck as it was: `value_at` at each index, refusing an index past the reach when met."""
-    c0 = _coeff(c0)
+    """The crosscheck as it was: `_ints_at` at each index, refusing an index past the reach when met."""
+    point = _point(c0)
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     if table is None:
@@ -301,22 +319,22 @@ def crosscheck_specialization(c0, family, max_n, table=None):
     u = doubled_form(family)
     failures = []
     for n in range(max_n + 1):
-        got = table.value_at(n, c0)
+        got = Fraction(*_ints_at(table._entry(n), *point))
         if 2 * got.numerator != u(n) * got.denominator:
             failures.append(CheckFailure(n, n, got, family_value(family, n)))
     return VerifyReport(subject=f"c={c0}->{family.value}", range=max_n, checked=max_n + 1, failures=failures)
 
 
 def scan_candidate(c0, max_prod, table=None):
-    """The scan as it was: `residual_numerator_at` at each probe, keeping the nonzero values."""
-    c0 = _coeff(c0)
+    """The scan as it was: the residual numerator by `_ints_at` at each probe, keeping the nonzero values."""
+    point = _point(c0)
     if table is None:
         table = SymbolicTable()
     hits = []
     m = 3
     while m * m <= max_prod:
         for n in range(m, max_prod // m + 1):
-            value = residual_numerator_at(m, n, c0, table)
+            value = Fraction(*_ints_at((_residual_pair(m, n, table)[0], 0), *point))
             if value != 0:
                 hits.append((m, n, value))
         m += 1

@@ -12,6 +12,7 @@ import pytest
 import kernel_reference as ref
 import prodrule.cli as cli
 import prodrule.seqengine as seqengine
+import prodrule.veritool as veritool
 from prodrule.cli import run
 from prodrule.exactalg import Poly
 from prodrule.seqengine import FamilyId, derive_d, doubled_form
@@ -334,6 +335,26 @@ def test_table_json(capsys):
         "max": 2,
         "rows": [[0, "1/2"], [1, "1/2"], [2, "1/2"]],
     }
+
+
+def test_verify_and_table_refuse_a_max_past_the_cap_before_any_allocation(capsys, monkeypatch, tmp_path):
+    assert cli.MAX_CAP == 10**6
+    calls = []
+    monkeypatch.setattr(cli, "doubled_values", lambda family, top: calls.append(top) or [])
+    assert run(["table", "--family", "zero", "--max", str(cli.MAX_CAP)]) == 0   # the cap itself passes
+    assert calls == [cli.MAX_CAP]
+    capsys.readouterr()
+    never = lambda *args: pytest.fail("doubled_values called")   # noqa: E731
+    for module in (cli, seqengine, veritool):
+        monkeypatch.setattr(module, "doubled_values", never)
+    target = tmp_path / "report.json"
+    for command in (["verify", "--family", "all"], ["table", "--family", "zero"]):
+        for fmt in ("text", "json"):
+            argv = [*command, "--max", "100000000", "--format", fmt, "--out", str(target)]
+            assert run(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == "error: --max 100000000 is beyond the cap 1000000\n"
+    assert not target.exists()
 
 
 def test_out_writes_json_document(capsys, tmp_path):

@@ -5,6 +5,7 @@ divisor structure of residual denominators) were derived by hand from the
 halving identities and confirmed by independent evaluation at many points.
 """
 
+import operator
 import os
 import random
 import subprocess
@@ -371,15 +372,24 @@ def test_residual_numerator_at_matches_poly_evaluation(table, pair, c0):
 
 
 @settings(max_examples=200, deadline=None)
-@given(p=st.lists(st.integers(-20, 20), max_size=7).map(tuple), e=st.integers(0, 4), c0=points)
-@example(p=(1,), e=1, c0=Fraction(1, 2))        # 1/D: deg P < 2e, so top takes den^shift
-@example(p=(3, 0, -1), e=3, c0=Fraction(-7, 5))  # D(c0) < 0
-@example(p=(), e=2, c0=Fraction(5, 3))
-def test_the_point_evaluator_matches_poly_evaluation_on_any_pair(p, e, c0):
-    # table entries all have deg P >= 2e for n >= 1; any pair P/D^e must evaluate too
-    top, bottom = seqengine._ints_at((p, e), *seqengine._point(c0))
-    assert type(top) is type(bottom) is int and bottom != 0
-    assert Fraction(top, bottom) == Poly(p)(c0) / D_DENOM(c0) ** e
+@given(p=st.lists(st.integers(-20, 20), max_size=7).map(tuple), e=st.integers(0, 4), c0=points,
+       slack=st.integers(0, 3))
+@example(p=(1,), e=1, c0=Fraction(1, 2), slack=0)        # 1/D: deg P < 2e, so a takes den^shift
+@example(p=(3, 0, -1), e=3, c0=Fraction(-7, 5), slack=2)  # D(c0) < 0
+@example(p=(), e=2, c0=Fraction(5, 3), slack=0)
+@example(p=(1, 0, 5), e=2, c0=Fraction(3, 4), slack=3)   # deg P < 2e < k: den moves to b
+def test_the_point_evaluator_matches_poly_evaluation_on_any_pair(p, e, c0, slack):
+    # table entries all have deg P >= 2e for n >= 1; any pair P/D^e must evaluate too,
+    # through a vector of its own degree and one of degree k > deg P, as in a batch
+    want = Poly(p)(c0) / D_DENOM(c0) ** e
+    assert Fraction(*ref._ints_at((p, e), *seqengine._point(c0))) == want
+    got = seqengine._value(p, e, c0)
+    assert type(got) is Fraction and got == want
+    num, den, d = seqengine._point(c0)
+    k = max(len(p) - 1, 0) + slack
+    a, b = seqengine._scales(den, d, k, e)
+    assert type(a) is type(b) is int and b != 0
+    assert Fraction(sum(map(operator.mul, p, seqengine._powers(num, den, k))) * a, b) == want
 
 
 @pytest.mark.parametrize("c0", [Fraction(0), Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2),
@@ -397,6 +407,17 @@ def test_the_walk_matches_value_at_at_deep_indices(n, c0):
     got = walk_value(n, c0)
     assert type(got) is Fraction
     assert got == SymbolicTable(n).value_at(n, c0)
+
+
+@pytest.mark.parametrize("n, degree, e, bits", [(1024, 26, 8, 18), ((1 << 64) + 3, 188, 62, 162)])
+def test_entry_sizes_are_logarithmic_in_n(n, degree, e, bits):
+    # the module docstring's bound: deg P <= 3 log2 n, e <= log2 n, about 2.5 log2 n bits;
+    # a private memo, so no other test meets the indices this fill stores
+    with mock.patch.object(seqengine, "_ENTRIES", _cold_entries()):
+        p, got_e = seqengine._fill(n)
+    assert (len(p) - 1, got_e, max(abs(a).bit_length() for a in p)) == (degree, e, bits)
+    log2 = n.bit_length() - 1
+    assert degree <= 3 * log2 and e <= log2
 
 
 def test_the_walk_refuses_ints_past_its_bound():

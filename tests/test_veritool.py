@@ -408,8 +408,32 @@ def test_crosscheck_matches_the_value_at_reference(table, c0, family, max_n):
     assert all(type(f.lhs) is type(f.rhs) is Fraction for f in report.failures)
 
 
+@pytest.mark.parametrize(
+    "c0, bad",
+    [
+        (Fraction(0), (0, 7, 256)),   # D(0) = -1
+        (Fraction(0), (1,)),
+        (Fraction(3), (2, 255)),
+        (Fraction(1, 2), (3, 13, 109)),   # den > 1: 2 T(n)(c0) is an int at some indices only
+        (Fraction(-1, 2), (5, 146)),
+    ],
+)
+def test_a_crosscheck_of_corrupted_pieces_fails_exactly_at_the_corrupted_indices(monkeypatch, table, c0, bad):
+    # u(n) = 2 T(n)(c0) where that is an int, else 0, then off by one at the chosen indices
+    exact = [2 * table.value(n)(c0) for n in range(257)]
+    u = [x.numerator if x.denominator == 1 else 0 for x in exact]
+    for n in bad:
+        u[n] += 1
+    monkeypatch.setitem(seqengine.FAMILY_PIECES, FamilyId.TRIANGULAR, ref.constant_pieces(u.__getitem__, 256))
+    report = crosscheck_specialization(c0, FamilyId.TRIANGULAR, 256, table)
+    assert report == ref.crosscheck_specialization(c0, FamilyId.TRIANGULAR, 256, table)
+    assert [f.n for f in report.failures] == [n for n, x in enumerate(exact) if x != u[n]]
+    assert all(f.m == f.n and 2 * f.lhs == exact[f.n] and 2 * f.rhs == u[f.n] for f in report.failures)
+
+
 @settings(max_examples=40, deadline=None)
-@given(c0=points, max_prod=st.integers(9, 256))
+@given(c0=points, max_prod=st.integers(0, 256))
+@example(c0=Fraction(-7, 5), max_prod=8)   # no probe 3 <= m <= n with mn <= 8
 @example(c0=Fraction(0), max_prod=256)
 @example(c0=Fraction(-7, 5), max_prod=256)
 @example(c0=Fraction(2), max_prod=256)
@@ -421,24 +445,24 @@ def test_scan_matches_the_residual_numerator_at_reference(table, c0, max_prod):
 
 
 def _count_work(monkeypatch):
-    """Count evaluations of D, calls of the point evaluator and `Fraction`s built."""
-    counts = {"d": 0, "evaluated": 0, "fractions": 0}
-    base_eval, base_ints = seqengine._homogeneous_eval, seqengine._ints_at
+    """Count evaluations of D, power vectors built and `Fraction`s built."""
+    counts = {"d": 0, "vectors": 0, "fractions": 0}
+    base_eval, base_powers = seqengine._homogeneous_eval, seqengine._powers
 
     def homogeneous_eval(coeffs, p, q):
         counts["d"] += coeffs is seqengine._D
         return base_eval(coeffs, p, q)
 
-    def ints_at(*args):
-        counts["evaluated"] += 1
-        return base_ints(*args)
+    def powers(*args):
+        counts["vectors"] += 1
+        return base_powers(*args)
 
     def fraction(*args):
         counts["fractions"] += 1
         return Fraction(*args)
 
     monkeypatch.setattr(seqengine, "_homogeneous_eval", homogeneous_eval)
-    monkeypatch.setattr(veritool, "_ints_at", ints_at)
+    monkeypatch.setattr(veritool, "_powers", powers)
     for module in (seqengine, veritool):
         monkeypatch.setattr(module, "Fraction", fraction)
     return counts
@@ -460,8 +484,8 @@ def test_a_crosscheck_evaluates_d_once_and_builds_fractions_only_for_failures(
     counts = _count_work(monkeypatch)
     report = crosscheck_specialization(c0, family, max_n, table)
     assert report == want
-    # D(c0) once per call, one evaluation per index, and only a failure's two sides
-    assert counts == {"d": 1, "evaluated": max_n + 1, "fractions": 2 * len(report.failures)}
+    # D(c0) and one power vector per call, and only a failure's two sides
+    assert counts == {"d": 1, "vectors": 1, "fractions": 2 * len(report.failures)}
 
 
 @pytest.mark.parametrize("c0", [Fraction(3), Fraction(2), Fraction(-7, 5)])
@@ -470,5 +494,4 @@ def test_a_scan_evaluates_d_once_and_builds_fractions_only_for_hits(monkeypatch,
     counts = _count_work(monkeypatch)
     hits = scan_candidate(c0, 61, table)
     assert hits == want
-    probes = sum(61 // m - m + 1 for m in range(3, 8))
-    assert counts == {"d": 1, "evaluated": probes, "fractions": len(hits)}
+    assert counts == {"d": 1, "vectors": 1, "fractions": len(hits)}
