@@ -213,7 +213,8 @@ def solve_c(
     The surviving c are the rational roots every non-vanishing probe
     numerator shares; `cofactor_gcd_check` certifies that no other c
     survives, and when it fails the monic GCD of the probe cofactors is
-    the unresolved common factor.  A float index raises TypeError.
+    the unresolved common factor.  A float index raises TypeError, and a
+    probe past the table's reach ValueError, before any entry is filled.
 
     Raises WeakProbesError when every probe residual is identically zero.
     The (m, n) residual vanishes identically when m or n is a power of 2:
@@ -231,6 +232,9 @@ def solve_c(
             raise ValueError(f"probe ({m}, {n}) is out of range; both indices must be >= 2")
     if table is None:
         table = SymbolicTable()
+    for m, n in probes:   # every probe's reach, before the first record fills an entry
+        if m * n > table.max_index:
+            table._entry(m * n)
 
     constraints = [ConstraintRecord.probe(m, n, table) for m, n in probes]
     live = [rec for rec in constraints if not rec.numerator.is_zero]

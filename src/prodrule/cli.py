@@ -2,14 +2,14 @@
 
 Subcommands: derive-d, classify, verify, eval, table, constraints.
 Each command builds one JSON document through the reports' `to_dict`;
-`run` prints it under `--format json`, and otherwise its text view from
-`_TEXT`, which reads the document alone.  `--out PATH` additionally
-writes the document to a file.  Diagnostics go to stderr.  Exit codes:
-0 success (for verify and classify this requires every check to pass),
-1 failed checks or probes that constrain nothing, 2 usage errors, an
-`--out` path that cannot be written included; `main` also exits 2 when
-stdout is closed before the output is written, as in `prodrule table
-... | head -1`.
+`run` prints it under `--format json`, and otherwise the text view that
+the command table `_COMMANDS` pairs with the command, which reads the
+document alone.  `--out PATH` additionally writes the document to a
+file.  Diagnostics go to stderr.  Exit codes: 0 success (for verify and
+classify this requires every check to pass), 1 failed checks or probes
+that constrain nothing, 2 usage errors, an `--out` path that cannot be
+written included; `main` also exits 2 when stdout is closed before the
+output is written, as in `prodrule table ... | head -1`.
 
 `run` builds the argparse parser on its first call and reuses it for
 every later call in the process; `build_parser` still returns a fresh
@@ -32,7 +32,6 @@ from .classifier import DEFAULT_PROBES, ConstraintRecord, WeakProbesError, solve
 from .seqengine import DEFAULT_MAX_INDEX, FamilyId, SymbolicTable, derive_d, doubled_values, walk_value
 from .veritool import verify_family
 
-_FAMILIES = {fam.value: fam for fam in FamilyId}
 MAX_CAP = 10**6   # the largest verify --max and table --max: both allocate O(N) lists up front
 
 
@@ -138,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--family",
         required=True,
-        choices=tuple(_FAMILIES) + ("all",),
+        choices=[fam.value for fam in FamilyId] + ["all"],
         help="family to check, or all five",
     )
     p_verify.add_argument(
@@ -165,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="print n, T(n) rows for one closed-form family",
     )
-    p_table.add_argument("--family", required=True, choices=tuple(_FAMILIES))
+    p_table.add_argument("--family", required=True, choices=[fam.value for fam in FamilyId])
     p_table.add_argument("--max", type=_nonnegative_int, required=True, metavar="N",
                          help="last index, at most 10^6 (as a process: 3.9 s, 275 MiB; 5.1 s, 489 MiB in json)")
 
@@ -205,7 +204,7 @@ def _cmd_classify(args) -> tuple[int, dict]:
 
 
 def _cmd_verify(args) -> tuple[int, dict]:
-    families = list(FamilyId) if args.family == "all" else [_FAMILIES[args.family]]
+    families = list(FamilyId) if args.family == "all" else [FamilyId(args.family)]
     reports = []
     code = 0
     for fam in families:
@@ -226,7 +225,7 @@ def _cmd_eval(args) -> tuple[int, dict]:
 
 
 def _cmd_table(args) -> tuple[int, dict]:
-    family = _FAMILIES[args.family]
+    family = FamilyId(args.family)
     rows = [[n, str(Fraction(u, 2))] for n, u in enumerate(doubled_values(family, args.max))]
     return 0, {"family": family.value, "max": args.max, "rows": rows}
 
@@ -277,29 +276,19 @@ def _verify_lines(doc: dict) -> list[str]:
     return lines
 
 
-# the text view of each command's document, one list item per output line
-_TEXT = {
-    "derive-d": lambda doc: [doc["d"]],
-    "classify": _classify_lines,
-    "verify": _verify_lines,
-    "eval": lambda doc: [doc["value"]],
-    "table": lambda doc: [f"{n}\t{v}" for n, v in doc["rows"]],
-    "constraints": lambda doc: [
+# each command's handler and the text view of its document, one list item per output line
+_COMMANDS = {
+    "derive-d": (_cmd_derive_d, lambda doc: [doc["d"]]),
+    "classify": (_cmd_classify, _classify_lines),
+    "verify": (_cmd_verify, _verify_lines),
+    "eval": (_cmd_eval, lambda doc: [doc["value"]]),
+    "table": (_cmd_table, lambda doc: [f"{n}\t{v}" for n, v in doc["rows"]]),
+    "constraints": (_cmd_constraints, lambda doc: [
         line for rec in doc["constraints"] for line in _constraint_lines(rec)
-    ],
+    ]),
 }
-
 
 _shared_parser = functools.cache(build_parser)
-
-_COMMANDS = {
-    "derive-d": _cmd_derive_d,
-    "classify": _cmd_classify,
-    "verify": _cmd_verify,
-    "eval": _cmd_eval,
-    "table": _cmd_table,
-    "constraints": _cmd_constraints,
-}
 
 
 def run(argv=None) -> int:
@@ -308,7 +297,8 @@ def run(argv=None) -> int:
         args = _shared_parser().parse_args(argv)
         if getattr(args, "max", 0) > MAX_CAP:   # verify and table, refused before any allocation
             raise UsageError(f"--max {args.max} is beyond the cap {MAX_CAP}")
-        code, doc = _COMMANDS[args.command](args)
+        handler, text = _COMMANDS[args.command]
+        code, doc = handler(args)
     except SystemExit as exc:   # argparse has printed its usage error, or the help
         return int(exc.code or 0)
     except UsageError as exc:
@@ -328,7 +318,7 @@ def run(argv=None) -> int:
     if args.format == "json":
         print(document)
     else:
-        for line in _TEXT[args.command](doc):
+        for line in text(doc):
             print(line)
     return code
 

@@ -331,20 +331,6 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _homogeneous_eval(coeffs, p: int, q: int) -> int:
-    """q^k f(p/q) for integer coefficients of f, k = len(coeffs) - 1.
-
-    Horner's rule on the homogenised sum of a_i p^i q^(k - i): plain int
-    arithmetic, with no `Fraction` built and no gcd taken along the way.
-    """
-    acc = 0
-    scale = 1
-    for a in reversed(coeffs):
-        acc = acc * p + a * scale
-        scale *= q
-    return acc
-
-
 def _divide_linear(ints: list[int], p: int, q: int) -> list[int] | None:
     """The quotient of ints by q c - p over Z, or None when it is not exact.
 

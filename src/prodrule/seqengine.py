@@ -32,15 +32,16 @@ value.  Like d, each entry is a constant of the problem: each T(n) is
 derived once per process and shared by all tables, which differ only in
 their reach and their residual memos.
 
-Evaluation at a rational point c0 = p/q stays in integers: `_point` gives
-p, q and d = q^2 D(c0) once per call, and a power vector w of degree
-k >= deg P, w[i] = p^i q^(k-i), gives s = q^k P(c0) = sum(map(mul, P, w))
-as a C-level dot product; then P(c0)/D(c0)^e = s q^(2e-k) / d^e.  The
-checks in `veritool` share one w per call.  D has no rational root, so
-d != 0, though D(0) = -1; a float index or c0 raises TypeError.  T(n) has
-deg P <= 3 log2 n, e <= log2 n (checked for n <= 4096) and coefficients
-of about 2.5 log2 n bits, which bounds len(w): T(1024) has degree 26,
-e = 8 and 18 bits, T(2^64 + 3) degree 188, e = 62 and 162 bits.
+Evaluation at a rational point c0 = p/q stays in integers, by one
+evaluator: the C-level dot product s = q^k P(c0) = sum(map(mul, P, w))
+with a power vector w[i] = p^i q^(k-i) of degree k >= deg P.  `_point`
+gives p, q and d = q^2 D(c0) so, once per call; `_basis` gives one w for
+a batch of polynomials, k = max deg P, and by e the ints (a, b) with
+P(c0)/D(c0)^e = s a / b.  D has no rational root, so d != 0, though
+D(0) = -1; a float index or c0 raises TypeError.  T(n) has deg P <=
+3 log2 n, e <= log2 n (checked for n <= 4096) and coefficients of about
+2.5 log2 n bits, which bounds len(w): T(1024) has degree 26, e = 8 and
+18 bits, T(2^64 + 3) degree 188, e = 62 and 162 bits.
 
 `residual_numerator` turns one (m, n) instance of the product rule into
 a polynomial constraint on c: the instance holds exactly at the roots.
@@ -61,7 +62,7 @@ from collections.abc import Callable
 from fractions import Fraction
 
 # poly_gcd is unused here but stays importable: perfbench/tracer.py patches it
-from .exactalg import Poly, RatFunc, _add, _coeff, _homogeneous_eval, _mul, _neg, poly_gcd  # noqa: F401
+from .exactalg import Poly, RatFunc, _add, _coeff, _mul, _neg, poly_gcd  # noqa: F401
 
 __all__ = [
     "DEFAULT_MAX_INDEX",
@@ -157,18 +158,10 @@ def family_value(family: FamilyId, n: int) -> Fraction:
     return Fraction(doubled_form(family)(n), 2)
 
 
-_D_POWERS = {0: (1,)}
-
-
+@functools.cache
 def _d_power(e: int) -> tuple[int, ...]:
-    """D^e, memoized for all tables; a racing fill stores the same value."""
-    power = _D_POWERS.get(e)
-    if power is None:
-        # the keys are always 0..max, so the powers fill upward from the top
-        for j in range(len(_D_POWERS), e + 1):
-            _D_POWERS[j] = _mul(_D_POWERS[j - 1], _D)
-        power = _D_POWERS[e]
-    return power
+    """D^e, memoized for all tables; `Poly.__pow__` squares in a loop, not by recursion."""
+    return (D_DENOM ** e).coeffs
 
 
 def _strip_d(p: tuple[int, ...], e: int) -> tuple[tuple[int, ...], int]:
@@ -201,28 +194,36 @@ def _ratfunc(pair: tuple[tuple[int, ...], int]) -> RatFunc:
     return RatFunc._from_canonical(Poly(p), Poly(_d_power(e)))
 
 
-def _point(c0) -> tuple[int, int, int]:
-    """(num, den, den^2 D(c0)) for an int or `Fraction` c0 = num/den, in ints."""
-    c0 = _coeff(c0)   # the TypeError `Poly.__call__` raises for a float
-    num, den = c0.numerator, c0.denominator
-    return num, den, _homogeneous_eval(_D, num, den)
-
-
 def _powers(num: int, den: int, k: int) -> list[int]:
     """w[i] = num^i den^(k-i), i = 0..k: sum(map(mul, P, w)) = den^k P(num/den) for deg P <= k."""
     return [num**i * den**(k - i) for i in range(k + 1)]
 
 
-def _scales(den: int, d: int, k: int, e: int) -> tuple[int, int]:
-    """Ints (a, b) with P(c0)/D(c0)^e = s a / b for s = den^k P(c0) and d = den^2 D(c0)."""
-    return (den**(2 * e - k), d**e) if 2 * e >= k else (1, den**(k - 2 * e) * d**e)
+def _point(c0) -> tuple[int, int, int]:
+    """(num, den, den^2 D(c0)) for an int or `Fraction` c0 = num/den, in ints."""
+    c0 = _coeff(c0)   # the TypeError `Poly.__call__` raises for a float
+    num, den = c0.numerator, c0.denominator
+    return num, den, sum(map(operator.mul, _D, _powers(num, den, 2)))
+
+
+def _basis(polys, exponents, point: tuple[int, int, int]) -> tuple[list[int], list[tuple[int, int]]]:
+    """The power vector w of degree k = max deg P over polys, and ints (a, b) for e = 0..max exponents.
+
+    At the `_point` (num, den, d) of c0, P(c0)/D(c0)^e = s a / b for the dot
+    product s = sum(map(mul, P, w)) = den^k P(c0) and d = den^2 D(c0).
+    """
+    num, den, d = point
+    k = max(map(len, polys), default=0) - 1
+    scales = [(den**(2 * e - k), d**e) if 2 * e >= k else (1, den**(k - 2 * e) * d**e)
+              for e in range(max(exponents, default=0) + 1)]
+    return _powers(num, den, k), scales
 
 
 def _value(p: tuple[int, ...], e: int, c0) -> Fraction:
-    """P(c0)/D(c0)^e of one pair (P, e), by a power vector of degree len(P) > deg P."""
-    num, den, d = _point(c0)
-    a, b = _scales(den, d, len(p), e)
-    return Fraction(sum(map(operator.mul, p, _powers(num, den, len(p)))) * a, b)
+    """P(c0)/D(c0)^e of one pair (P, e), through its own `_basis`."""
+    w, scales = _basis((p,), (e,), _point(c0))
+    a, b = scales[e]
+    return Fraction(sum(map(operator.mul, p, w)) * a, b)
 
 
 def walk_value(n: int, c0) -> Fraction:
@@ -243,7 +244,7 @@ def walk_value(n: int, c0) -> Fraction:
     s, steps = den * d, max(n.bit_length() - 1, 0)
     if steps * s.bit_length() + den.bit_length() > WALK_MAX_BITS:
         raise ValueError(f"the walk needs integers of more than {WALK_MAX_BITS} bits")
-    cs, gs = num * d, _homogeneous_eval(_D_MINUS_C, num, den)
+    cs, gs = num * d, sum(map(operator.mul, _D_MINUS_C, _powers(num, den, 3)))
     a, b, e = num, den, 0   # den V(1)
     for bit in bin(n)[3:]:
         if bit == "1":
@@ -253,8 +254,8 @@ def walk_value(n: int, c0) -> Fraction:
     return Fraction(b, den * s**steps) if n else Fraction(0)
 
 
-# the one entry memo, shared by all tables like _D_POWERS and seeded with
-# T(0..3); entries are immutable and a racing fill stores an equal value
+# the one entry memo, shared by all tables like the powers of D and seeded
+# with T(0..3); entries are immutable and a racing fill stores an equal value
 _ENTRIES = {0: ((), 0), 1: ((1,), 0), 2: (_C, 0), 3: (_D_NUMER, 1)}
 
 
@@ -397,10 +398,11 @@ def _residual_pair(m: int, n: int, table: SymbolicTable | None):
     pair = table._residuals.get((m, n))
     if pair is None:
         t = table._entry
+        top = t(m * n)   # the largest index the instance needs, so a refusal comes before any fill
         (pm, em), (pn, en) = t(m), t(n)
         (pm1, em1), (pn1, en1) = t(m - 1), t(n - 1)
         pair = table._residuals[m, n] = _sum(
-            t(m * n),
+            top,
             (_neg(_mul(pm, pn)), em + en),
             (_neg(_mul(pm1, pn1)), em1 + en1),
         )

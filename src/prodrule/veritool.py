@@ -4,7 +4,7 @@ Closed-form families are checked exhaustively on a full square (m, n)
 grid, and symbolic specializations index by index against a family's
 closed form.  Both read a family as data, its integer pieces of u = 2T
 in `seqengine.FAMILY_PIECES`, and the specialization checks evaluate the
-symbolic table by the dot products of `seqengine`, one power vector per
+symbolic table by the dot products of `seqengine`, one `_basis` per
 call.  A c0 that is not an int or a `Fraction`, a float included, raises
 TypeError whatever the bound.  Everything is exact: a report either
 carries an empty failure list or pinpoints the offending pairs with
@@ -22,12 +22,11 @@ from operator import mul
 from .seqengine import (  # noqa: F401
     FamilyId,
     SymbolicTable,
+    _basis,
     _fill,
     _piece_value,
     _point,
-    _powers,
     _residual_pair,
-    _scales,
     doubled_values,
     family_pieces,
     family_value,
@@ -146,13 +145,13 @@ def crosscheck_specialization(
 
     The reach is checked once, before any entry is filled; with no table
     given it is that of a default `SymbolicTable()`.  T(0..max_n) share one
-    power vector of degree k, their largest deg P, so T(n)(c0) = s a / b for
-    a dot product s and (a, b) = `_scales` by e; the lists 2 s a and u(n) b,
-    u from `doubled_values`, are compared with one `==`, exact for either
-    sign of b.  Only indices where they differ build their exact sides,
-    from the same ints: lhs T(n)(c0), rhs `family_value`.
+    `_basis`, so T(n)(c0) = s a / b for s the dot product with its power
+    vector and its (a, b) by e; the lists 2 s a and u(n) b, u from
+    `doubled_values`, are compared with one `==`, exact for either sign of
+    b.  Only indices where they differ build their exact sides, from the
+    same ints: lhs T(n)(c0), rhs `family_value`.
     """
-    num, den, d = _point(c0)
+    point = _point(c0)
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     if table is None:
@@ -161,9 +160,7 @@ def crosscheck_specialization(
         table._entry(table.max_index + 1)
     us = doubled_values(family, max_n)
     pairs = [_fill(n) for n in range(max_n + 1)]
-    k = max(len(p) for p, _ in pairs) - 1
-    w = _powers(num, den, k)
-    scales = [_scales(den, d, k, e) for e in range(max(e for _, e in pairs) + 1)]
+    w, scales = _basis(*zip(*pairs), point)
     left = [2 * sum(map(mul, p, w)) * scales[e][0] for p, e in pairs]
     right = [u * scales[e][1] for u, (_, e) in zip(us, pairs)]
     failures = [] if left == right else [
@@ -185,17 +182,22 @@ def scan_candidate(
 ) -> list[tuple[int, int, Fraction]]:
     """Evaluate every probe numerator with 3 <= m <= n, mn <= max_prod at c0.
 
-    Each value is the canonical (m, n) residual numerator P at c0, s / den^k
-    for s its dot product with one power vector of degree k = max deg P.
-    Returns the nonzero values as (m, n, value) triples, building a
-    `Fraction` only for those; a genuine c0 returns an empty list.
+    Each value is the canonical (m, n) residual numerator P at c0, s a / b
+    for s its dot product with the power vector of one `_basis` over all
+    probes.  Returns the nonzero values as (m, n, value) triples, building a
+    `Fraction` only for those; a genuine c0 returns an empty list.  A scan
+    that reaches past the table is refused, naming the first such probe's
+    mn in scan order, before any probe is listed or any entry filled.
     """
-    num, den, _ = _point(c0)
+    point = _point(c0)
     if table is None:
         table = SymbolicTable()
+    if max_prod > table.max_index:   # one pass over m finds the first probe past the reach
+        for m in range(3, isqrt(max_prod) + 1):
+            if m * (max_prod // m) > table.max_index:
+                table._entry(m * max(m, table.max_index // m + 1))
     probes = [(m, n) for m in range(3, isqrt(max(max_prod, 0)) + 1) for n in range(m, max_prod // m + 1)]
     polys = [_residual_pair(m, n, table)[0] for m, n in probes]
-    k = max(map(len, polys), default=0) - 1
-    w = _powers(num, den, k)
+    w, ((a, b),) = _basis(polys, (0,), point)
     values = [sum(map(mul, p, w)) for p in polys]
-    return [(m, n, Fraction(s, den**k)) for (m, n), s in zip(probes, values) if s]
+    return [(m, n, Fraction(s * a, b)) for (m, n), s in zip(probes, values) if s]

@@ -8,9 +8,9 @@ deflates the monic gcd of the probe numerators, rendering that compares
 `Fraction` coefficients, and the derivation of d over `Poly2`, a
 polynomial in d with `Poly` coefficients, and the `BivariateTable` that
 runs the halving identities with d free.  The point evaluator as it was,
-`_ints_at`, runs one homogenised Horner sum per pair, and the
-specialisation checks as they were build one `Fraction` per value from
-it: the crosscheck at each index, the scan at each probe.
+`_ints_at`, runs one homogenised Horner sum, `_homogeneous_eval`, per
+pair, and the specialisation checks as they were build one `Fraction`
+per value from it: the crosscheck at each index, the scan at each probe.
 """
 
 import math
@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import reduce
 
 from prodrule.classifier import PERIOD3_NOTE
-from prodrule.exactalg import Poly, RatFunc, _divisors, _homogeneous_eval, exact_div
+from prodrule.exactalg import Poly, RatFunc, _divisors, exact_div
 from prodrule.seqengine import (
     DEFAULT_MAX_INDEX,
     SymbolicTable,
@@ -296,6 +296,16 @@ def derive_d():
 def constant_pieces(u, top):
     """The sequence u(0..top) as a family's data: one constant piece per index, period top + 1."""
     return tuple((u(k), 0, 0) for k in range(top + 1))
+
+
+def _homogeneous_eval(coeffs, p, q):
+    """q^k f(p/q) for integer coefficients of f, k = len(coeffs) - 1, by Horner's rule in ints."""
+    acc = 0
+    scale = 1
+    for a in reversed(coeffs):
+        acc = acc * p + a * scale
+        scale *= q
+    return acc
 
 
 def _ints_at(pair, num, den, d):

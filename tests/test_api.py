@@ -60,8 +60,10 @@ CALLERS_USE = {
 }
 
 RETIRED = {
-    "exactalg": {"Poly2"},
-    "seqengine": {"BivariateTable", "_HalvingTable", "d_of_c", "_C2", "_D_MINUS_C2"},
+    "exactalg": {"Poly2", "_homogeneous_eval"},
+    "seqengine": {"BivariateTable", "_HalvingTable", "d_of_c", "_C2", "_D_MINUS_C2", "_D_POWERS", "_scales"},
+    "veritool": {"_powers", "_scales"},
+    "cli": {"_TEXT", "_FAMILIES"},
 }
 
 

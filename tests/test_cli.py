@@ -190,7 +190,8 @@ def test_only_the_printed_output_is_rendered(capsys, monkeypatch, case):
         with monkeypatch.context() as patch:
             patch.setattr(Poly, "to_str", lambda poly: polys.append(poly) or render(poly))
             if "json" in call:
-                patch.setattr(cli, "_TEXT", dict.fromkeys(cli._TEXT, refuse))
+                patch.setattr(cli, "_COMMANDS", {name: (handler, refuse)
+                                                 for name, (handler, _) in cli._COMMANDS.items()})
             assert run(call) == GOLDEN[case]["exit"]
         if call is argv:
             assert capsys.readouterr().out == GOLDEN[case]["stdout"]
@@ -253,6 +254,11 @@ def test_classify_vanishing_probes_name_the_power_of_two_rule(capsys):
 def test_classify_probe_beyond_range_is_usage_error(capsys):
     assert run(["classify", "--probes", "3,5", "--range", "10"]) == 2
     assert "beyond --range" in capsys.readouterr().err
+    # constraints has no --range: its pairs are bounded by the default reach
+    assert run(["constraints", "--pairs", "33,33"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: pair (33, 33) needs index 1089, beyond 1024"]
 
 
 def test_classify_single_probe_in_small_range_fails_cleanly(capsys):

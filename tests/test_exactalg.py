@@ -4,6 +4,7 @@ Expected values were computed by hand (long division, expansion) and are
 frozen here; the property tests then cover the general laws.
 """
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,6 @@ from prodrule.exactalg import (
     Poly,
     RatFunc,
     _add,
-    _homogeneous_eval,
     _mul,
     _neg,
     equal_up_to_scalar,
@@ -24,7 +24,7 @@ from prodrule.exactalg import (
     poly_gcd,
     rational_roots,
 )
-from prodrule.seqengine import residual_numerator
+from prodrule.seqengine import _powers, residual_numerator
 
 C = Poly((0, 1))
 DENOM = Poly((-1, 2, 1))        # c^2 + 2c - 1
@@ -318,9 +318,11 @@ def test_ratfunc_evaluation_is_a_homomorphism(fn, fd, gn, gd, x):
 @given(coeffs=st.lists(st.integers(-10**6, 10**6), max_size=8),
        p=st.integers(-50, 50), q=st.integers(1, 12))
 def test_homogeneous_eval_is_the_scaled_value(coeffs, p, q):
+    # the one integer evaluator, a dot product with the power vector, and the Horner reference
     k = len(coeffs) - 1
     want = Poly(coeffs)(Fraction(p, q)) * Fraction(q) ** k
-    assert _homogeneous_eval(coeffs, p, q) == want
+    assert sum(map(operator.mul, coeffs, _powers(p, q, k))) == want
+    assert ref._homogeneous_eval(coeffs, p, q) == want
 
 
 # roots at 1 and -1 make the divisor pretest read f(1) = 0 or f(-1) = 0

@@ -11,6 +11,8 @@ import random
 import subprocess
 import sys
 import threading
+import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 
 import kernel_reference as ref
 import prodrule.seqengine as seqengine
-from prodrule.classifier import ConstraintRecord
+from prodrule.classifier import ConstraintRecord, solve_c
 from prodrule.exactalg import Poly, RatFunc, poly_gcd
 from prodrule.seqengine import (
     C_POLY,
@@ -39,7 +41,7 @@ from prodrule.seqengine import (
     residual_numerator_at,
     walk_value,
 )
-from prodrule.veritool import crosscheck_specialization
+from prodrule.veritool import crosscheck_specialization, scan_candidate
 
 D = RatFunc(D_NUMER, D_DENOM)
 
@@ -184,6 +186,8 @@ def test_table_refuses_beyond_max_index():
     small.value(16)
     with pytest.raises(ValueError):
         small.value(17)
+    with pytest.raises(ValueError, match="at least 3"):
+        SymbolicTable(2)
 
 
 def test_large_index_stays_small(table):
@@ -380,16 +384,17 @@ def test_residual_numerator_at_matches_poly_evaluation(table, pair, c0):
 @example(p=(1, 0, 5), e=2, c0=Fraction(3, 4), slack=3)   # deg P < 2e < k: den moves to b
 def test_the_point_evaluator_matches_poly_evaluation_on_any_pair(p, e, c0, slack):
     # table entries all have deg P >= 2e for n >= 1; any pair P/D^e must evaluate too,
-    # through a vector of its own degree and one of degree k > deg P, as in a batch
+    # through a basis of its own degree and, batched with c^k, one of degree k > deg P
     want = Poly(p)(c0) / D_DENOM(c0) ** e
     assert Fraction(*ref._ints_at((p, e), *seqengine._point(c0))) == want
     got = seqengine._value(p, e, c0)
     assert type(got) is Fraction and got == want
-    num, den, d = seqengine._point(c0)
     k = max(len(p) - 1, 0) + slack
-    a, b = seqengine._scales(den, d, k, e)
+    w, scales = seqengine._basis([p, (0,) * k + (1,)], [e, 0], seqengine._point(c0))
+    assert len(w) == k + 1 and len(scales) == e + 1
+    a, b = scales[e]
     assert type(a) is type(b) is int and b != 0
-    assert Fraction(sum(map(operator.mul, p, seqengine._powers(num, den, k))) * a, b) == want
+    assert Fraction(sum(map(operator.mul, p, w)) * a, b) == want
 
 
 @pytest.mark.parametrize("c0", [Fraction(0), Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2),
@@ -532,10 +537,12 @@ def test_shared_memo_matches_the_reference_in_any_order(requests):
 
 
 def test_a_refused_index_is_never_stored():
+    # a private memo, so no fill by an earlier test can put huge there
     huge = (1 << 40) + 1
-    with pytest.raises(ValueError):
-        SymbolicTable(1 << 40).value(huge)
-    assert huge not in seqengine._ENTRIES
+    with mock.patch.object(seqengine, "_ENTRIES", _cold_entries()):
+        with pytest.raises(ValueError):
+            SymbolicTable(1 << 40).value(huge)
+        assert huge not in seqengine._ENTRIES
     with mock.patch.object(seqengine, "_ENTRIES", _cold_entries()) as entries:
         with pytest.raises(ValueError):
             SymbolicTable(16).value_at(17, 3)
@@ -556,6 +563,54 @@ def test_a_refused_crosscheck_fills_nothing():
             ref.crosscheck_specialization(3, FamilyId.TRIANGULAR, 40, SymbolicTable(16))
         assert sorted(entries) == list(range(17))
     assert str(refused.value) == str(former.value)
+
+
+def test_a_refused_probe_fills_nothing():
+    # mn is the largest index an instance needs, so it is refused before T(m), T(n), ... fill
+    with mock.patch.object(seqengine, "_ENTRIES", _cold_entries()) as entries:
+        small = SymbolicTable(100)
+        with pytest.raises(ValueError, match="^index 143 exceeds the supported range 100;"):
+            residual_numerator(11, 13, small)
+        assert entries == _cold_entries() and small._residuals == {}
+        # solve_c checks the reach of every probe before its first record
+        with pytest.raises(ValueError, match="^index 63 exceeds the supported range 40;"):
+            solve_c([(3, 3), (7, 9)], SymbolicTable(40))
+        assert entries == _cold_entries()
+
+
+def test_a_refused_scan_lists_and_fills_nothing():
+    # the first probe past the reach 1024 in scan order is (3, 342): one pass over m finds it,
+    # before the ~P ln P probes are listed or any residual is filled
+    table = SymbolicTable(1024)
+    with mock.patch.object(seqengine, "_ENTRIES", _cold_entries()) as entries:
+        scan_candidate(Fraction(2), 61, table)
+        before, residuals = dict(entries), dict(table._residuals)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match="^index 1026 exceeds the supported range 1024;"):
+                scan_candidate(Fraction(2), 10**9, table)
+            elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert entries == before
+    assert table._residuals == residuals
+    assert elapsed < 1 and peak < 1 << 16
+
+
+@settings(max_examples=60, deadline=None)
+@given(reach=st.integers(3, 80), max_prod=st.integers(0, 300), c0=points)
+@example(reach=3, max_prod=9, c0=Fraction(2))      # the very first probe (3, 3) is past the reach
+@example(reach=16, max_prod=17, c0=Fraction(2))    # P past the reach, but every probe within it
+@example(reach=10, max_prod=12, c0=Fraction(-7, 5))
+def test_a_scan_refuses_where_the_reference_scan_does(reach, max_prod, c0):
+    def outcome(scan):
+        try:
+            return scan(c0, max_prod, SymbolicTable(reach))
+        except ValueError as exc:
+            return str(exc)
+
+    assert outcome(scan_candidate) == outcome(ref.scan_candidate)
 
 
 def test_a_crosscheck_without_a_table_keeps_the_default_reach():
@@ -651,12 +706,12 @@ def test_a_deep_index_fills_under_a_tiny_recursion_limit():
 def test_sparse_deep_fills_in_random_order_match_the_reference():
     indices = random.Random(11).sample(range(4, 1 << 16), 20)
     table = SymbolicTable(1 << 16)
-    with mock.patch.object(seqengine, "_ENTRIES", _cold_entries()) as entries, \
-            mock.patch.object(seqengine, "_D_POWERS", {0: (1,)}) as powers:
+    with mock.patch.object(seqengine, "_ENTRIES", _cold_entries()) as entries:
         for n in indices:
             _assert_same_and_power_of_d(table.value(n), REFERENCE(n))
         for n, pair in entries.items():
             _assert_same_and_power_of_d(seqengine._ratfunc(pair), REFERENCE(n))
-        assert sorted(powers) == list(range(len(powers)))
-        for e, power in powers.items():
-            assert Poly(power) == D_DENOM**e
+    for e in range(max(e for _, e in entries.values()) + 1):
+        power = seqengine._d_power(e)
+        assert type(power) is tuple and all(type(a) is int for a in power)
+        assert Poly(power) == D_DENOM**e

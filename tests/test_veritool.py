@@ -362,6 +362,7 @@ def test_scans_on_a_warmed_table_equal_scans_on_fresh_tables():
     warm = SymbolicTable()
     for c0 in (Fraction(2), Fraction(3), Fraction(-7, 5), Fraction(1, 2), Fraction(0)):
         assert scan_candidate(c0, 61, warm) == scan_candidate(c0, 61, SymbolicTable())
+        assert scan_candidate(c0, 61) == scan_candidate(c0, 61, SymbolicTable())
     # the memo keeps one residual pair per probe 3 <= m <= n, mn <= 61
     assert len(warm._residuals) == sum(61 // m - m + 1 for m in range(3, 8))
 
@@ -447,11 +448,11 @@ def test_scan_matches_the_residual_numerator_at_reference(table, c0, max_prod):
 def _count_work(monkeypatch):
     """Count evaluations of D, power vectors built and `Fraction`s built."""
     counts = {"d": 0, "vectors": 0, "fractions": 0}
-    base_eval, base_powers = seqengine._homogeneous_eval, seqengine._powers
+    base_point, base_powers = seqengine._point, seqengine._powers
 
-    def homogeneous_eval(coeffs, p, q):
-        counts["d"] += coeffs is seqengine._D
-        return base_eval(coeffs, p, q)
+    def point(c0):
+        counts["d"] += 1
+        return base_point(c0)
 
     def powers(*args):
         counts["vectors"] += 1
@@ -461,8 +462,8 @@ def _count_work(monkeypatch):
         counts["fractions"] += 1
         return Fraction(*args)
 
-    monkeypatch.setattr(seqengine, "_homogeneous_eval", homogeneous_eval)
-    monkeypatch.setattr(veritool, "_powers", powers)
+    monkeypatch.setattr(veritool, "_point", point)
+    monkeypatch.setattr(seqengine, "_powers", powers)
     for module in (seqengine, veritool):
         monkeypatch.setattr(module, "Fraction", fraction)
     return counts
@@ -484,8 +485,8 @@ def test_a_crosscheck_evaluates_d_once_and_builds_fractions_only_for_failures(
     counts = _count_work(monkeypatch)
     report = crosscheck_specialization(c0, family, max_n, table)
     assert report == want
-    # D(c0) and one power vector per call, and only a failure's two sides
-    assert counts == {"d": 1, "vectors": 1, "fractions": 2 * len(report.failures)}
+    # D(c0) by its own power vector and one basis per call, and only a failure's two sides
+    assert counts == {"d": 1, "vectors": 2, "fractions": 2 * len(report.failures)}
 
 
 @pytest.mark.parametrize("c0", [Fraction(3), Fraction(2), Fraction(-7, 5)])
@@ -494,4 +495,4 @@ def test_a_scan_evaluates_d_once_and_builds_fractions_only_for_hits(monkeypatch,
     counts = _count_work(monkeypatch)
     hits = scan_candidate(c0, 61, table)
     assert hits == want
-    assert counts == {"d": 1, "vectors": 1, "fractions": len(hits)}
+    assert counts == {"d": 1, "vectors": 2, "fractions": len(hits)}
