@@ -21,7 +21,6 @@ from .exactalg import (
     DomainError,
     Poly,
     RatFunc,
-    Rational,
     equal_up_to_scalar,
     exact_div,
     extract_rational_factors,
@@ -34,9 +33,7 @@ from .seqengine import (
     SymbolicTable,
     derive_d,
     family_value,
-    residual,
     residual_numerator,
-    residual_numerator_at,
 )
 from .veritool import (
     CheckFailure,
@@ -60,7 +57,6 @@ __all__ = [
     "FamilyId",
     "Poly",
     "RatFunc",
-    "Rational",
     "SymbolicTable",
     "VerifyReport",
     "WeakProbesError",
@@ -74,9 +70,7 @@ __all__ = [
     "family_value",
     "poly_gcd",
     "rational_roots",
-    "residual",
     "residual_numerator",
-    "residual_numerator_at",
     "scan_candidate",
     "solve_c",
     "verify_family",

@@ -233,8 +233,7 @@ def solve_c(
     if table is None:
         table = SymbolicTable()
     for m, n in probes:   # every probe's reach, before the first record fills an entry
-        if m * n > table.max_index:
-            table._entry(m * n)
+        table._reach(m * n)
 
     constraints = [ConstraintRecord.probe(m, n, table) for m, n in probes]
     live = [rec for rec in constraints if not rec.numerator.is_zero]
@@ -248,6 +247,7 @@ def solve_c(
     surviving = tuple(sorted(shared))
     family_map = {root: FAMILY_BY_C[root] for root in surviving if root in FAMILY_BY_C}
     complete = cofactor_gcd_check(constraints)
+    # monic: reduce returns a lone cofactor as it is, without a poly_gcd call
     leftover = None if complete else reduce(poly_gcd, [rec.cofactor for rec in live]).monic()
 
     notes = [PERIOD3_NOTE]

@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_table.add_argument("--family", required=True, choices=[fam.value for fam in FamilyId])
     p_table.add_argument("--max", type=_nonnegative_int, required=True, metavar="N",
-                         help="last index, at most 10^6 (as a process: 3.9 s, 275 MiB; 5.1 s, 489 MiB in json)")
+                         help="last index, at most 10^6 (as a process: 3.9 s, 245 MiB; 5.1 s, 489 MiB in json)")
 
     p_constraints = sub.add_parser(
         "constraints",
@@ -276,13 +276,13 @@ def _verify_lines(doc: dict) -> list[str]:
     return lines
 
 
-# each command's handler and the text view of its document, one list item per output line
+# each command's handler and the text view of its document, one item per output line
 _COMMANDS = {
     "derive-d": (_cmd_derive_d, lambda doc: [doc["d"]]),
     "classify": (_cmd_classify, _classify_lines),
     "verify": (_cmd_verify, _verify_lines),
     "eval": (_cmd_eval, lambda doc: [doc["value"]]),
-    "table": (_cmd_table, lambda doc: [f"{n}\t{v}" for n, v in doc["rows"]]),
+    "table": (_cmd_table, lambda doc: (f"{n}\t{v}" for n, v in doc["rows"])),
     "constraints": (_cmd_constraints, lambda doc: [
         line for rec in doc["constraints"] for line in _constraint_lines(rec)
     ]),

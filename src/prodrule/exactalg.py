@@ -1,10 +1,10 @@
 """Exact arithmetic over the rationals: polynomials and rational functions.
 
 Scalars are Python ints and arbitrary-precision `fractions.Fraction`
-values (re-exported as `Rational`), always in lowest terms with a
-positive denominator.  An int equals and hashes like the `Fraction` of
-the same value, so `==` is plain field equality across the two, and
-every division of coefficients builds a `Fraction`, never a float.
+values, always in lowest terms with a positive denominator.  An int
+equals and hashes like the `Fraction` of the same value, so `==` is
+plain field equality across the two, and every division of coefficients
+builds a `Fraction`, never a float.
 
 `Poly` is a dense univariate polynomial: `coeffs[i]` holds the
 coefficient of the i-th power of the indeterminate (rendered as `c`),
@@ -42,15 +42,12 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 __all__ = [
     "DomainError",
     "Poly",
     "RatFunc",
-    "Rational",
     "equal_up_to_scalar",
     "exact_div",
     "extract_rational_factors",

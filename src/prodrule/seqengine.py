@@ -37,11 +37,13 @@ evaluator: the C-level dot product s = q^k P(c0) = sum(map(mul, P, w))
 with a power vector w[i] = p^i q^(k-i) of degree k >= deg P.  `_point`
 gives p, q and d = q^2 D(c0) so, once per call; `_basis` gives one w for
 a batch of polynomials, k = max deg P, and by e the ints (a, b) with
-P(c0)/D(c0)^e = s a / b.  D has no rational root, so d != 0, though
-D(0) = -1; a float index or c0 raises TypeError.  T(n) has deg P <=
-3 log2 n, e <= log2 n (checked for n <= 4096) and coefficients of about
-2.5 log2 n bits, which bounds len(w): T(1024) has degree 26, e = 8 and
-18 bits, T(2^64 + 3) degree 188, e = 62 and 162 bits.
+P(c0)/D(c0)^e = s a / b.  `walk_value` serves one T(n) at c0, `_basis` a
+batch, and `table.value(n)(c0)` is the `Fraction` path.  D has no
+rational root, so d != 0, though D(0) = -1; a float index or c0 raises
+TypeError.  T(n) has deg P <= 3 log2 n, e <= log2 n (checked for
+n <= 4096) and coefficients of about 2.5 log2 n bits, which bounds
+len(w): T(1024) has degree 26, e = 8 and 18 bits, T(2^64 + 3) degree
+188, e = 62 and 162 bits.
 
 `residual_numerator` turns one (m, n) instance of the product rule into
 a polynomial constraint on c: the instance holds exactly at the roots.
@@ -74,9 +76,7 @@ __all__ = [
     "doubled_values",
     "family_pieces",
     "family_value",
-    "residual",
     "residual_numerator",
-    "residual_numerator_at",
     "walk_value",
 ]
 
@@ -219,13 +219,6 @@ def _basis(polys, exponents, point: tuple[int, int, int]) -> tuple[list[int], li
     return _powers(num, den, k), scales
 
 
-def _value(p: tuple[int, ...], e: int, c0) -> Fraction:
-    """P(c0)/D(c0)^e of one pair (P, e), through its own `_basis`."""
-    w, scales = _basis((p,), (e,), _point(c0))
-    a, b = scales[e]
-    return Fraction(sum(map(operator.mul, p, w)) * a, b)
-
-
 def walk_value(n: int, c0) -> Fraction:
     """T(n) at c = c0 by one walk over the bits of n, with no table or memo.
 
@@ -295,13 +288,14 @@ class SymbolicTable:
     distinct index any table has reached, each with O(log n)
     coefficients (about 0.7 MiB for all of T(0..1024)).
 
-    Indices above `max_index` are refused before the memo is touched:
-    the bound states how far a caller lets the recursion reach
-    (`classify --range` sets it), so an index past it is an error, not
-    a silent fill.  A float index raises TypeError before any memo is
-    read, so no refusal depends on what the process has filled.  Shared
-    entries are immutable and a racing fill stores an equal value, so
-    tables may fill from several threads.
+    Indices above `max_index` are refused by `_reach`, a check that fills
+    nothing, before the memo is touched: the bound states how far a
+    caller lets the recursion reach (`classify --range` sets it), so an
+    index past it is an error, not a silent fill.  A float index or reach
+    raises TypeError before any memo is read, so no refusal depends on
+    what the process has filled.  Shared entries are immutable and a
+    racing fill stores an equal value, so tables may fill from several
+    threads.
     Each table also memoizes its residual pairs in `_residuals`, one
     immutable pair per distinct (m, n) asked for; that memo is the
     table's own, so give each thread its own table or share one only
@@ -309,13 +303,14 @@ class SymbolicTable:
     """
 
     def __init__(self, max_index: int = DEFAULT_MAX_INDEX):
+        max_index = operator.index(max_index)
         if max_index < 3:
             raise ValueError("max_index must be at least 3")
         self.max_index = max_index
         self._residuals: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
 
-    def _entry(self, n: int) -> tuple[tuple[int, ...], int]:
-        """The stored entry for T(n), after checking n is an int in range."""
+    def _reach(self, n: int) -> int:
+        """n, after checking it is an int within the reach; fills nothing."""
         n = operator.index(n)
         if n < 0:
             raise ValueError("sequence indices start at 0")
@@ -324,15 +319,11 @@ class SymbolicTable:
                 f"index {n} exceeds the supported range {self.max_index}; "
                 "construct the table with a larger max_index"
             )
-        return _fill(n)
+        return n
 
     def value(self, n: int) -> RatFunc:
         """T(n), computing and caching whatever the recursion touches."""
-        return _ratfunc(self._entry(n))
-
-    def value_at(self, n: int, c0) -> Fraction:
-        """T(n) at the rational point c = c0; equal to `value(n)(c0)`."""
-        return _value(*self._entry(n), c0)
+        return _ratfunc(_fill(self._reach(n)))
 
 
 # with d free, a value is a tuple of integer `Poly`s in c, the coefficients
@@ -397,21 +388,15 @@ def _residual_pair(m: int, n: int, table: SymbolicTable | None):
         table = SymbolicTable()
     pair = table._residuals.get((m, n))
     if pair is None:
-        t = table._entry
-        top = t(m * n)   # the largest index the instance needs, so a refusal comes before any fill
-        (pm, em), (pn, en) = t(m), t(n)
-        (pm1, em1), (pn1, en1) = t(m - 1), t(n - 1)
+        top = _fill(table._reach(m * n))   # mn bounds every index the instance needs: checked before any fill
+        (pm, em), (pn, en) = _fill(m), _fill(n)
+        (pm1, em1), (pn1, en1) = _fill(m - 1), _fill(n - 1)
         pair = table._residuals[m, n] = _sum(
             top,
             (_neg(_mul(pm, pn)), em + en),
             (_neg(_mul(pm1, pn1)), em1 + en1),
         )
     return pair
-
-
-def residual(m: int, n: int, table: SymbolicTable | None = None) -> RatFunc:
-    """T(mn) - T(m)T(n) - T(m-1)T(n-1) as a rational function of c."""
-    return _ratfunc(_residual_pair(m, n, table))
 
 
 def residual_numerator(m: int, n: int, table: SymbolicTable | None = None) -> Poly:
@@ -421,11 +406,3 @@ def residual_numerator(m: int, n: int, table: SymbolicTable | None = None) -> Po
     instance exactly when that value is a root of this polynomial.
     """
     return Poly(_residual_pair(m, n, table)[0])
-
-
-def residual_numerator_at(m: int, n: int, c0, table: SymbolicTable | None = None) -> Fraction:
-    """The canonical (m, n) residual numerator at the rational point c = c0.
-
-    Equal to `residual_numerator(m, n, table)(c0)`, without building a `Poly`.
-    """
-    return _value(_residual_pair(m, n, table)[0], 0, c0)

@@ -156,8 +156,7 @@ def crosscheck_specialization(
         raise ValueError("max_n must be nonnegative")
     if table is None:
         table = SymbolicTable()
-    if max_n > table.max_index:   # refused before any fill, as at the first index past the reach
-        table._entry(table.max_index + 1)
+    table._reach(max_n)   # refused before any fill
     us = doubled_values(family, max_n)
     pairs = [_fill(n) for n in range(max_n + 1)]
     w, scales = _basis(*zip(*pairs), point)
@@ -195,7 +194,7 @@ def scan_candidate(
     if max_prod > table.max_index:   # one pass over m finds the first probe past the reach
         for m in range(3, isqrt(max_prod) + 1):
             if m * (max_prod // m) > table.max_index:
-                table._entry(m * max(m, table.max_index // m + 1))
+                table._reach(m * max(m, table.max_index // m + 1))
     probes = [(m, n) for m in range(3, isqrt(max(max_prod, 0)) + 1) for n in range(m, max_prod // m + 1)]
     polys = [_residual_pair(m, n, table)[0] for m, n in probes]
     w, ((a, b),) = _basis(polys, (0,), point)

@@ -23,6 +23,7 @@ from prodrule.exactalg import Poly, RatFunc, _divisors, exact_div
 from prodrule.seqengine import (
     DEFAULT_MAX_INDEX,
     SymbolicTable,
+    _fill,
     _point,
     _residual_pair,
     doubled_form,
@@ -329,7 +330,7 @@ def crosscheck_specialization(c0, family, max_n, table=None):
     u = doubled_form(family)
     failures = []
     for n in range(max_n + 1):
-        got = Fraction(*_ints_at(table._entry(n), *point))
+        got = Fraction(*_ints_at(_fill(table._reach(n)), *point))
         if 2 * got.numerator != u(n) * got.denominator:
             failures.append(CheckFailure(n, n, got, family_value(family, n)))
     return VerifyReport(subject=f"c={c0}->{family.value}", range=max_n, checked=max_n + 1, failures=failures)

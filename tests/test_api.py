@@ -23,7 +23,6 @@ PUBLIC = {
     "FamilyId",
     "Poly",
     "RatFunc",
-    "Rational",
     "SymbolicTable",
     "VerifyReport",
     "WeakProbesError",
@@ -37,9 +36,7 @@ PUBLIC = {
     "family_value",
     "poly_gcd",
     "rational_roots",
-    "residual",
     "residual_numerator",
-    "residual_numerator_at",
     "scan_candidate",
     "solve_c",
     "verify_family",
@@ -60,8 +57,9 @@ CALLERS_USE = {
 }
 
 RETIRED = {
-    "exactalg": {"Poly2", "_homogeneous_eval"},
-    "seqengine": {"BivariateTable", "_HalvingTable", "d_of_c", "_C2", "_D_MINUS_C2", "_D_POWERS", "_scales"},
+    "exactalg": {"Poly2", "_homogeneous_eval", "Rational"},
+    "seqengine": {"BivariateTable", "_HalvingTable", "d_of_c", "_C2", "_D_MINUS_C2", "_D_POWERS", "_scales",
+                  "_value", "residual", "residual_numerator_at"},
     "veritool": {"_powers", "_scales"},
     "cli": {"_TEXT", "_FAMILIES"},
 }
@@ -88,3 +86,10 @@ def test_module_exports_and_caller_names_import(module):
     for name in RETIRED.get(module, ()):
         assert not hasattr(mod, name), (module, name)
         assert name not in getattr(mod, "__all__", ())
+
+
+def test_the_table_keeps_no_retired_method():
+    # a value at c0 is `walk_value`, a batch `_basis`, or `table.value(n)(c0)`;
+    # the reach is the check-only `_reach`
+    assert not hasattr(prodrule.SymbolicTable, "value_at")
+    assert not hasattr(prodrule.SymbolicTable, "_entry")

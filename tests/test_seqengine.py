@@ -36,18 +36,30 @@ from prodrule.seqengine import (
     derive_d,
     doubled_form,
     family_value,
-    residual,
     residual_numerator,
-    residual_numerator_at,
     walk_value,
 )
 from prodrule.veritool import crosscheck_specialization, scan_candidate
 
 D = RatFunc(D_NUMER, D_DENOM)
 
-# frozen: numerator of residual(3, 3), expanded
+
+def _residual(m, n, table):
+    """T(mn) - T(m)T(n) - T(m-1)T(n-1) as the canonical `RatFunc` of the table's residual pair."""
+    return seqengine._ratfunc(seqengine._residual_pair(m, n, table))
+
+
+def _at(pair, c0):
+    """P(c0)/D(c0)^e of one pair (P, e), by a `_basis` of its own, as the batch checks evaluate."""
+    p, e = pair
+    w, scales = seqengine._basis((p,), (e,), seqengine._point(c0))
+    a, b = scales[e]
+    return Fraction(sum(map(operator.mul, p, w)) * a, b)
+
+
+# frozen: numerator of the (3, 3) residual, expanded
 N33 = Poly((0, -3, 4, 2, 2, -1, -6, 2))
-# frozen: numerator of residual(3, 5), expanded
+# frozen: numerator of the (3, 5) residual, expanded
 N35 = Poly((0, 3, -13, 25, -31, 41, -35, 35, -33, 8))
 
 
@@ -107,6 +119,25 @@ def test_derive_d_is_computed_once():
     assert derive_d() is derive_d()
 
 
+_REAL_T18_DIFFERENCE = seqengine._t18_difference
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("_t18_difference", lambda: _REAL_T18_DIFFERENCE() + (Poly((1,)),), "not linear in d"),
+        ("D_DENOM", Poly((-1, 2, 2)), "d coefficient is not"),
+        ("_POLE_WITNESS", ((38, 17), (28, 18, 48)), "pole identity fails"),
+    ],
+    ids=["quadratic in d", "wrong D", "corrupted witness"],
+)
+def test_derive_d_raises_when_its_internal_checks_fail(monkeypatch, name, value, message):
+    # the uncached body, so the process-wide d stays as derived
+    monkeypatch.setattr(seqengine, name, value)
+    with pytest.raises(AssertionError, match=message):
+        derive_d.__wrapped__()
+
+
 def test_pole_identity():
     # (16c + 38)(3c^3 + c) - (48c^2 + 18c + 28)(c^2 + 2c - 1) = 28
     s, t = seqengine._POLE_WITNESS
@@ -155,25 +186,25 @@ def test_residual_35_factored_form(table):
 
 
 def test_residual_35_denominator_is_cubed(table):
-    assert residual(3, 5, table).den == D_DENOM**3
+    assert _residual(3, 5, table).den == D_DENOM**3
 
 
 def test_residuals_with_a_factor_of_two_vanish(table):
     for n in range(2, 12):
-        assert residual(2, n, table).is_zero
-        assert residual(n, 2, table).is_zero
+        assert _residual(2, n, table).is_zero
+        assert _residual(n, 2, table).is_zero
 
 
 def test_residual_is_symmetric(table):
-    assert residual(3, 5, table) == residual(5, 3, table)
-    assert residual(3, 7, table) == residual(7, 3, table)
+    assert _residual(3, 5, table) == _residual(5, 3, table)
+    assert _residual(3, 7, table) == _residual(7, 3, table)
 
 
 def test_residual_rejects_small_indices(table):
     with pytest.raises(ValueError):
-        residual(1, 5, table)
+        _residual(1, 5, table)
     with pytest.raises(ValueError):
-        residual(3, 0, table)
+        _residual(3, 0, table)
 
 
 def test_gcd_of_first_two_numerators(table):
@@ -342,7 +373,7 @@ def _probe_pairs(draw):
 def test_residual_matches_ratfunc_reference(table, pair):
     m, n = pair
     want = REFERENCE.residual(m, n)
-    _assert_same_and_power_of_d(residual(m, n, table), want)
+    _assert_same_and_power_of_d(_residual(m, n, table), want)
     assert residual_numerator(m, n, table) == want.num
 
 
@@ -359,7 +390,8 @@ points = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
 @example(n=256, c0=Fraction(3))
 @example(n=255, c0=Fraction(-50, 11))
 def test_value_at_matches_value_then_evaluate(table, n, c0):
-    got = table.value_at(n, c0)
+    # an entry at c0 by its own `_basis`, against the `Fraction` path
+    got = _at(seqengine._fill(n), c0)
     assert type(got) is Fraction
     assert got == table.value(n)(c0)
 
@@ -369,8 +401,9 @@ def test_value_at_matches_value_then_evaluate(table, n, c0):
 @example(pair=(2, 2), c0=Fraction(5))  # identically zero residual
 @example(pair=(13, 15), c0=Fraction(-7, 5))
 def test_residual_numerator_at_matches_poly_evaluation(table, pair, c0):
+    # the residual numerator at c0 by its own `_basis`, as the scan evaluates it
     m, n = pair
-    got = residual_numerator_at(m, n, c0, table)
+    got = _at((seqengine._residual_pair(m, n, table)[0], 0), c0)
     assert type(got) is Fraction
     assert got == residual_numerator(m, n, table)(c0)
 
@@ -387,7 +420,7 @@ def test_the_point_evaluator_matches_poly_evaluation_on_any_pair(p, e, c0, slack
     # through a basis of its own degree and, batched with c^k, one of degree k > deg P
     want = Poly(p)(c0) / D_DENOM(c0) ** e
     assert Fraction(*ref._ints_at((p, e), *seqengine._point(c0))) == want
-    got = seqengine._value(p, e, c0)
+    got = _at((p, e), c0)
     assert type(got) is Fraction and got == want
     k = max(len(p) - 1, 0) + slack
     w, scales = seqengine._basis([p, (0,) * k + (1,)], [e, 0], seqengine._point(c0))
@@ -400,7 +433,7 @@ def test_the_point_evaluator_matches_poly_evaluation_on_any_pair(p, e, c0, slack
 @pytest.mark.parametrize("c0", [Fraction(0), Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2),
                                 Fraction(-7, 5), Fraction(-50, 11)])
 def test_the_walk_matches_value_at_up_to_1024(table, c0):
-    assert [walk_value(n, c0) for n in range(1025)] == [table.value_at(n, c0) for n in range(1025)]
+    assert [walk_value(n, c0) for n in range(1025)] == [table.value(n)(c0) for n in range(1025)]
 
 
 @settings(max_examples=30, deadline=None)
@@ -411,7 +444,7 @@ def test_the_walk_matches_value_at_up_to_1024(table, c0):
 def test_the_walk_matches_value_at_at_deep_indices(n, c0):
     got = walk_value(n, c0)
     assert type(got) is Fraction
-    assert got == SymbolicTable(n).value_at(n, c0)
+    assert got == SymbolicTable(n).value(n)(c0)
 
 
 @pytest.mark.parametrize("n, degree, e, bits", [(1024, 26, 8, 18), ((1 << 64) + 3, 188, 62, 162)])
@@ -437,11 +470,11 @@ def test_the_walk_refuses_ints_past_its_bound():
 
 def test_value_at_accepts_ints_and_checks_the_range():
     small = SymbolicTable(8)
-    assert small.value_at(8, 3) == 36
+    assert small.value(8)(3) == 36
     with pytest.raises(ValueError):
-        small.value_at(9, 3)
+        small.value(9)
     with pytest.raises(ValueError):
-        small.value_at(-1, 3)
+        small.value(-1)
 
 
 @pytest.mark.parametrize(
@@ -449,13 +482,13 @@ def test_value_at_accepts_ints_and_checks_the_range():
     [
         pytest.param(lambda t: t.value(4.5), id="t.value(4.5)"),
         pytest.param(lambda t: t.value(16.5), id="t.value(16.5)"),
-        pytest.param(lambda t: t.value_at(6.5, 3), id="t.value_at(6.5, 3)"),
+        pytest.param(lambda t: t.value(6.5)(3), id="t.value(6.5)(3)"),
         pytest.param(lambda t: residual_numerator(3, 5.5, t), id="residual_numerator(3, 5.5, t)"),
-        pytest.param(lambda t: residual(4.5, 3, t), id="residual(4.5, 3, t)"),
-        pytest.param(lambda t: residual_numerator_at(3, 7.5, 2, t), id="residual_numerator_at(3, 7.5, 2, t)"),
-        pytest.param(lambda t: t.value_at(5, 0.5), id="t.value_at(5, 0.5)"),
+        pytest.param(lambda t: _residual(4.5, 3, t), id="_residual(4.5, 3, t)"),
+        pytest.param(lambda t: residual_numerator(3, 7.5, t)(2), id="residual_numerator(3, 7.5, t)(2)"),
         pytest.param(lambda t: t.value(5)(0.5), id="t.value(5)(0.5)"),
-        pytest.param(lambda t: residual_numerator_at(3, 5, 0.5, t), id="residual_numerator_at(3, 5, 0.5, t)"),
+        pytest.param(lambda t: residual_numerator(3, 5, t)(0.5), id="residual_numerator(3, 5, t)(0.5)"),
+        pytest.param(lambda t: SymbolicTable(1e3), id="SymbolicTable(1e3)"),
         pytest.param(lambda t: walk_value(6.5, 3), id="walk_value(6.5, 3)"),
         pytest.param(lambda t: walk_value(5, 0.5), id="walk_value(5, 0.5)"),
         # integral floats, each asked for after its int twin is memoized
@@ -487,16 +520,16 @@ def test_residuals_on_a_warmed_table_equal_a_fresh_table(table, pair, c0):
     assert residual_numerator(m, n, table) == warm   # now read from the memo
     fresh = SymbolicTable()
     assert warm == residual_numerator(m, n, fresh)
-    assert residual(m, n, table) == residual(m, n, SymbolicTable())
-    assert residual_numerator_at(m, n, c0, table) == residual_numerator_at(m, n, c0, SymbolicTable())
+    assert _residual(m, n, table) == _residual(m, n, SymbolicTable())
+    assert residual_numerator(m, n, table)(c0) == residual_numerator(m, n, SymbolicTable())(c0)
 
 
 def test_residual_memo_holds_one_pair_per_probe():
     table = SymbolicTable()
     for _ in range(2):
         residual_numerator(3, 5, table)
-        residual(3, 5, table)
-        residual_numerator_at(3, 5, Fraction(2), table)
+        _residual(3, 5, table)
+        residual_numerator(3, 5, table)(Fraction(2))
     residual_numerator(5, 3, table)
     assert sorted(table._residuals) == [(3, 5), (5, 3)]
     small = SymbolicTable(8)
@@ -545,7 +578,7 @@ def test_a_refused_index_is_never_stored():
         assert huge not in seqengine._ENTRIES
     with mock.patch.object(seqengine, "_ENTRIES", _cold_entries()) as entries:
         with pytest.raises(ValueError):
-            SymbolicTable(16).value_at(17, 3)
+            SymbolicTable(16).value(17)
         assert entries == _cold_entries()
 
 
@@ -558,11 +591,13 @@ def test_a_refused_crosscheck_fills_nothing():
         with pytest.raises(TypeError):
             crosscheck_specialization(3.0, FamilyId.TRIANGULAR, 40, SymbolicTable(16))
         assert entries == _cold_entries()
-        # the former crosscheck filled up to the reach before it refused, with the same message
+        # the former crosscheck filled up to the reach before it refused the first index past it;
+        # the check names max_n, the index the caller asked for
         with pytest.raises(ValueError) as former:
             ref.crosscheck_specialization(3, FamilyId.TRIANGULAR, 40, SymbolicTable(16))
         assert sorted(entries) == list(range(17))
-    assert str(refused.value) == str(former.value)
+    assert str(former.value).startswith("index 17 exceeds the supported range 16;")
+    assert str(refused.value) == str(former.value).replace("index 17", "index 40")
 
 
 def test_a_refused_probe_fills_nothing():
@@ -659,7 +694,7 @@ from prodrule import seqengine
 tracemalloc.start()
 table = seqengine.SymbolicTable(1024)
 for n in range(1025):
-    table.value_at(n, 3)
+    table.value(n)
 print(len(seqengine._ENTRIES), tracemalloc.get_traced_memory()[0])
 """
 
@@ -686,7 +721,6 @@ from prodrule.seqengine import SymbolicTable
 n = 2**150
 table = SymbolicTable(n)
 sys.setrecursionlimit(60)
-assert table.value_at(n, 3) == n * (n + 1) // 2
 assert table.value(n)(3) == n * (n + 1) // 2
 print("ok")
 """
