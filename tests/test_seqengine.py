@@ -487,6 +487,9 @@ def test_value_at_accepts_ints_and_checks_the_range():
         pytest.param(lambda t: _residual(4.5, 3, t), id="_residual(4.5, 3, t)"),
         pytest.param(lambda t: residual_numerator(3, 7.5, t)(2), id="residual_numerator(3, 7.5, t)(2)"),
         pytest.param(lambda t: t.value(5)(0.5), id="t.value(5)(0.5)"),
+        # an entry at a float point by the integer evaluator the batch checks use, the path
+        # of the retired SymbolicTable.value_at; its id keeps that name
+        pytest.param(lambda t: _at(seqengine._fill(5), 0.5), id="t.value_at(5, 0.5)"),
         pytest.param(lambda t: residual_numerator(3, 5, t)(0.5), id="residual_numerator(3, 5, t)(0.5)"),
         pytest.param(lambda t: SymbolicTable(1e3), id="SymbolicTable(1e3)"),
         pytest.param(lambda t: walk_value(6.5, 3), id="walk_value(6.5, 3)"),
