@@ -145,8 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         required=True,
         metavar="N",
-        help="grid bound N <= 10^6: every 1 <= m, n <= N is checked, all rows of a class mod the period M at once, "
-        "in time O(M N), memory O(N) (five families: 0.005, 0.05, 0.5, 3.7 s at N = 10^3..10^6, 282 MiB at 10^6)",
+        help="grid bound N <= 10^6: every 1 <= m, n <= N is checked, by rows, the first M (delta + 1) deciding "
+        "the rest, in memory O(N) (five families as a process: 0.08, 0.09, 0.3, 2.8 s at N = 10^3..10^6, 184 MiB at 10^6)",
     )
 
     p_eval = sub.add_parser(

@@ -52,7 +52,8 @@ defined once, as data in `FAMILY_PIECES`: a period M and, for each
 residue class r mod M, one integer piece (c, b, a) of its closed form
 u(x) = 2 T(x) = c + b x + a x^2 for x = r (mod M).  `doubled_form`
 evaluates u at a point, `doubled_values` lists u(0..N) one class at a
-time, and `family_value` is u(n)/2.
+time, by the helper that also lists the grid's rows, u at the multiples
+of m, and `family_value` is u(n)/2.
 """
 
 from __future__ import annotations
@@ -137,22 +138,23 @@ def doubled_form(family: FamilyId) -> Callable[[int], int]:
     return functools.partial(_piece_value, family_pieces(family))
 
 
-def doubled_values(family: FamilyId, top: int) -> list[int]:
-    """u(0), ..., u(top) of a family's pieces, one comprehension per class."""
-    pieces = family_pieces(family)
+def _piece_values(pieces: tuple[tuple[int, int, int], ...], top: int, step: int = 1) -> list[int]:
+    """u(0), u(step), ..., u(top step) of pieces, one comprehension per residue class of the index."""
     period = len(pieces)
     out = [0] * (top + 1)
-    for r, (c, b, a) in enumerate(pieces[:top + 1]):
-        out[r::period] = [c + (b + a * x) * x for x in range(r, top + 1, period)]
+    for r in range(min(period, top + 1)):
+        c, b, a = pieces[r * step % period]   # x = r (mod M) puts step x in class r step
+        out[r::period] = [c + (b + a * x) * x for x in range(r * step, top * step + 1, period * step)]
     return out
 
 
-def family_value(family: FamilyId, n: int) -> Fraction:
-    """Closed-form value of one of the five solution families at index n.
+def doubled_values(family: FamilyId, top: int) -> list[int]:
+    """u(0), ..., u(top) of a family's pieces, one comprehension per class."""
+    return _piece_values(family_pieces(family), top)
 
-    This is u(n)/2 for the family's integer closed form u = 2T of
-    `doubled_form`, read off the family's pieces.
-    """
+
+def family_value(family: FamilyId, n: int) -> Fraction:
+    """T(n) of a family, u(n)/2 for its integer closed form u = 2T of `doubled_form`."""
     if n < 0:
         raise ValueError("sequence indices start at 0")
     return Fraction(doubled_form(family)(n), 2)

@@ -1,14 +1,13 @@
-"""Brute-force oracle for the product rule.
+"""Exact checks of the product rule on closed-form families and specializations.
 
-Closed-form families are checked exhaustively on a full square (m, n)
-grid, and symbolic specializations index by index against a family's
-closed form.  Both read a family as data, its integer pieces of u = 2T
-in `seqengine.FAMILY_PIECES`, and the specialization checks evaluate the
-symbolic table by the dot products of `seqengine`, one `_basis` per
-call.  A c0 that is not an int or a `Fraction`, a float included, raises
-TypeError whatever the bound.  Everything is exact: a report either
-carries an empty failure list or pinpoints the offending pairs with
-their exact `Fraction` sides.
+A family is checked on the full square (m, n) grid by rows of ints, and a
+symbolic specialization index by index against a family's closed form,
+read as data: its integer pieces of u = 2T in `seqengine.FAMILY_PIECES`.
+The specialization checks evaluate the symbolic table by the dot products
+of `seqengine`, one `_basis` per call, and raise TypeError for a c0 that is
+not an int or a `Fraction`, a float included, whatever the bound.  A
+report either carries an empty failure list or pinpoints the offending
+pairs with their exact `Fraction` sides.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from .seqengine import (  # noqa: F401
     SymbolicTable,
     _basis,
     _fill,
-    _piece_value,
+    _piece_values,
     _point,
     _residual_pair,
     doubled_values,
@@ -80,53 +79,32 @@ class VerifyReport:
 def verify_family(family: FamilyId, max_mn: int) -> VerifyReport:
     """Check T(mn) = T(m)T(n) + T(m-1)T(n-1) for every 1 <= m, n <= max_mn.
 
-    The family's u = 2T is c + b x + a x^2 for x = r (mod M), and the rule
-    reads 2 u(mn) = u(m)u(n) + u(m-1)u(n-1).  All rows m = r (mod M) are
-    decided at once: u(m) = alpha . (1, m, m^2) with alpha = pieces[r],
-    u(m-1) = beta . (1, m, m^2) with beta = (c' - b' + a', b' - 2a', a')
-    from (c', b', a') = pieces[r - 1], and mn = r n (mod M), so the defect
-    of cell (m, n) is sum_j m^j E_j(n) with
-    E_j(n) = 2 coef_j(pieces[r n]) n^j - alpha_j u(n) - beta_j u(n-1).
-    Each E_j is two lists of ints compared with `==`, for j up to the
-    largest degree of any piece (above it every term is 0): time O(M N),
-    memory O(N).  Only a class whose lists differ reruns the cell-by-cell
-    check, on n = m..N for each of its rows since the rule is symmetric;
-    it decides each cell itself, so it is exact however few rows the class
-    has.  A failing cell (m, n) is reported with its mirror (n, m), both
-    with the same exact `Fraction` sides, in row-major order of the full
-    grid; `checked` counts the N^2 grid cells decided.
+    Row m of 2 u(mn) = u(m)u(n) + u(m-1)u(n-1), u = 2T, is two lists of
+    ints over n = 1..N compared with one `==`.  For fixed n and class of m
+    mod M, mn stays in one class, so the defect is a polynomial in m of
+    degree at most delta, the largest piece degree: rows 1..min(N,
+    M (delta + 1)) decide the grid, in time O(M delta N) and memory O(N).
+    Only if one fails is every row checked, its failing cells reported in
+    row-major order with exact `Fraction` sides; `checked` is N^2.
     """
     if max_mn < 1:
         raise ValueError("max_mn must be positive")
     pieces = family_pieces(family)
-    period = len(pieces)
-    us = doubled_values(family, max_mn)
-    here, below = us[1:], us[:-1]
-    ns = range(1, max_mn + 1)
+    twice = tuple((2 * c, 2 * b, 2 * a) for c, b, a in pieces)
     degree = max((j for piece in pieces for j, coef in enumerate(piece) if coef), default=0)
-    powers = [[n**j for n in ns] for j in range(degree + 1)]
+    deciding = min(max_mn, len(pieces) * (degree + 1))
+    us = doubled_values(family, max_mn)
     failures: list[CheckFailure] = []
-    for first in range(1, min(period, max_mn) + 1):   # the first row of each class
-        r = first % period
-        alpha, row = pieces[r], [pieces[r * n % period] for n in ns]
-        c, b, a = pieces[r - 1]
-        beta = (c - b + a, b - 2 * a, a)
-        if all(
-            [2 * p[j] * x for p, x in zip(row, powers[j])]
-            == [alpha[j] * x + beta[j] * y for x, y in zip(here, below)]
-            for j in range(degree + 1)
-        ):
-            continue
-        for m in range(first, max_mn + 1, period):
-            um, um1 = us[m], us[m - 1]
-            for n in range(m, max_mn + 1):
-                left, right = 2 * _piece_value(pieces, m * n), um * us[n] + um1 * us[n - 1]
-                if left != right:
-                    sides = Fraction(left, 4), Fraction(right, 4)
-                    failures.append(CheckFailure(m, n, *sides))
-                    if n != m:
-                        failures.append(CheckFailure(n, m, *sides))
-    failures.sort(key=lambda f: (f.m, f.n))
+    for m in range(1, max_mn + 1):
+        if m > deciding and not failures:
+            break
+        um, um1 = us[m], us[m - 1]
+        left = _piece_values(twice, max_mn, m)[1:]
+        right = [um * x + um1 * y for x, y in zip(us[1:], us)]   # u(n), u(n - 1)
+        if left != right:
+            failures += [CheckFailure(m, n, Fraction(x, 4), Fraction(y, 4))
+                         for n, (x, y) in enumerate(zip(left, right), 1) if x != y]
+        del left, right   # freed before the next row is built
     return VerifyReport(
         subject=f"family:{family.value}",
         range=max_mn,

@@ -185,17 +185,22 @@ _coefficients = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6), st.sam
 @example(pieces=((2**70, -2**70, 2**70),), max_mn=30)
 @example(pieces=((0, 1, 0), (1, 1, 0), (0, 0, 0)), max_mn=12)
 @example(pieces=((0, 0, 0), (0, 1, 1)), max_mn=9)
-# a class's lists differ, but every cell of its fewer than delta + 1 rows holds
+# a class has fewer than delta + 1 rows, and every cell of them holds
 @example(pieces=((0, 1, -1),), max_mn=1)
 @example(pieces=((1, 0, 0), (1, 2, -2)), max_mn=2)
 @example(pieces=((0, 0, 0), (0, 2, -2), (-2, -1, 1), (2, -1, 1)), max_mn=2)
-# (1, 1) fails only through the m^2 term: E_0 = E_1 = 0 there
+# (1, 1) fails only through the m^2 term
 @example(pieces=((0, 0, 1),), max_mn=1)
 # M > N, so classes hold 0 or 1 rows; then M < N with classes of 1 and 2 rows
 @example(pieces=((0, 1, 1), (0, 1, 0), (1, 1, 0), (0, 0, 0), (2, 0, 0)), max_mn=3)
 @example(pieces=((0, 1, 0), (1, 1, 0), (1, 0, 0), (0, 1, 1)), max_mn=3)
 @example(pieces=((0, 0, 0), (2, 0, 0), (0, 0, 0)), max_mn=5)
 @example(pieces=((0, 1, 1), (1, 1, 0), (0, 1, 0)), max_mn=5)
+# the first failing row lies past M delta: delta = 1 with row 2 failing, M = 2 with row 2 failing
+@example(pieces=((0, 2, 0),), max_mn=2)
+@example(pieces=((0, 2, 0),), max_mn=5)
+@example(pieces=((0, 0, 0), (2, 0, 0)), max_mn=2)
+@example(pieces=((0, 0, 0), (2, 0, 0)), max_mn=5)
 def test_class_decision_matches_the_fraction_table_on_random_pieces(pieces, max_mn):
     family = FamilyId.TRIANGULAR
 
@@ -211,17 +216,87 @@ def test_class_decision_matches_the_fraction_table_on_random_pieces(pieces, max_
     assert report.failures == want.failures
 
 
+def _int_verify(family, max_mn, pieces):
+    """Every cell of the grid in ints, from the pieces themselves; `Fraction` sides only for a failure."""
+    def value(k):
+        c, b, a = pieces[k % len(pieces)]
+        return c + b * k + a * k * k
+
+    u = [value(k) for k in range(max_mn * max_mn + 1)]
+    failures = []
+    for m in range(1, max_mn + 1):
+        for n in range(1, max_mn + 1):
+            left, right = 2 * u[m * n], u[m] * u[n] + u[m - 1] * u[n - 1]
+            if left != right:
+                failures.append(CheckFailure(m, n, Fraction(left, 4), Fraction(right, 4)))
+    return VerifyReport(subject=f"family:{family.value}", range=max_mn, checked=max_mn * max_mn,
+                        failures=failures)
+
+
+@pytest.mark.parametrize("family", list(FamilyId))
+def test_verify_family_matches_the_integer_brute_force(family):
+    # N = 120 leaves every class many rows beyond the deciding ones
+    want = _int_verify(family, 120, seqengine.FAMILY_PIECES[family])
+    assert want.ok
+    assert verify_family(family, 120).to_dict() == want.to_dict()
+
+
+@st.composite
+def _periodic_pieces(draw):
+    """Pieces of period at most 6: a family's, repeated and maybe with one coefficient moved, or random."""
+    family = draw(st.sampled_from(list(FamilyId)))
+    base = seqengine.FAMILY_PIECES[family]
+    pieces = [list(p) for p in base * draw(st.integers(1, 6 // len(base)))]
+    if draw(st.booleans()):
+        pieces[draw(st.integers(0, len(pieces) - 1))][draw(st.integers(0, 2))] += draw(st.integers(-3, 3))
+    small = st.integers(-3, 3)
+    random = st.lists(st.tuples(small, small, small), min_size=1, max_size=6)
+    return tuple(map(tuple, draw(st.one_of(st.just(pieces), random))))
+
+
+@settings(max_examples=8, deadline=None)
+@given(pieces=_periodic_pieces())
+@example(pieces=((0, 1, 1),) * 6)
+@example(pieces=((0, 1, 0), (1, 1, 0), (0, 1, 0), (1, 1, 0), (0, 1, 0), (1, 2, 0)))
+def test_verify_family_matches_the_integer_brute_force_on_random_pieces(pieces):
+    family = FamilyId.TRIANGULAR
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(seqengine.FAMILY_PIECES, family, pieces)
+        report = verify_family(family, 120)
+    want = _int_verify(family, 120, pieces)
+    assert (report.subject, report.range, report.checked) == (want.subject, want.range, want.checked)
+    assert report.failures == want.failures
+
+
+# M (delta + 1) for each family: period M, largest piece degree delta
+DECIDING_ROWS = {
+    FamilyId.ZERO: 1,
+    FamilyId.HALF: 1,
+    FamilyId.CEIL_HALF: 4,
+    FamilyId.PERIOD3: 3,
+    FamilyId.TRIANGULAR: 3,
+}
+
+
 @pytest.mark.parametrize("max_mn", [1, 2, 3, 5, 7, 40])
 @pytest.mark.parametrize("family", list(FamilyId))
-def test_a_passing_grid_evaluates_u_only_up_to_n(monkeypatch, family, max_mn):
-    # u(0..N) once, from the list helper; no cell-by-cell evaluation of u(mn)
-    tops = []
-    values = seqengine.doubled_values
-    monkeypatch.setattr(veritool, "doubled_values", lambda fam, top: tops.append(top) or values(fam, top))
-    monkeypatch.setattr(veritool, "_piece_value", lambda pieces, n: pytest.fail(f"u({n}) evaluated"))
+def test_a_passing_grid_checks_only_its_deciding_rows(monkeypatch, family, max_mn):
+    # a passing grid builds rows 1..min(N, M (delta + 1)); a failing one builds all N rows
+    rows = []
+    values = seqengine._piece_values
+    monkeypatch.setattr(veritool, "_piece_values",
+                        lambda pieces, top, step=1: rows.append(step) or values(pieces, top, step))
     report = verify_family(family, max_mn)
     assert report.ok and report.checked == max_mn * max_mn
-    assert tops == [max_mn]
+    assert rows == list(range(1, min(max_mn, DECIDING_ROWS[family]) + 1))
+
+    # T + 1 breaks the rule at (1, 1): 2 u(1) against u(1)^2 + u(0)^2
+    rows.clear()
+    shifted = tuple((c + 2, b, a) for c, b, a in seqengine.FAMILY_PIECES[family])
+    monkeypatch.setitem(seqengine.FAMILY_PIECES, family, shifted)
+    report = verify_family(family, max_mn)
+    assert not report.ok and report.failures[0].m == report.failures[0].n == 1
+    assert rows == list(range(1, max_mn + 1))
 
 
 # 360,001 `Fraction`s alone take about 30 MiB under tracemalloc; the
