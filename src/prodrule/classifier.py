@@ -154,8 +154,18 @@ class ClassificationReport:
 
 
 def linear_factor_str(root: Fraction, multiplicity: int = 1) -> str:
-    """Render the factor (c - root)^multiplicity the way the CLI prints it."""
-    base = str(Poly((-root, 1)))
+    """Render the factor (c - root)^multiplicity the way the CLI prints it.
+
+    Reads the factor off str(root), as `Poly((-root, 1))` prints it:
+    c, c - r, or c + |r| for a negative r.
+    """
+    text = str(root)
+    if text == "0":
+        base = "c"
+    elif text[0] == "-":
+        base = f"c + {text[1:]}"
+    else:
+        base = f"c - {text}"
     return f"({base})^{multiplicity}" if multiplicity > 1 else base
 
 

@@ -5,11 +5,13 @@ Each command builds one JSON document through the reports' `to_dict`;
 `run` prints it under `--format json`, and otherwise the text view that
 the command table `_COMMANDS` pairs with the command, which reads the
 document alone.  `--out PATH` additionally writes the document to a
-file.  Diagnostics go to stderr.  Exit codes: 0 success (for verify and
-classify this requires every check to pass), 1 failed checks or probes
-that constrain nothing, 2 usage errors, an `--out` path that cannot be
-written included; `main` also exits 2 when stdout is closed before the
-output is written, as in `prodrule table ... | head -1`.
+file.  Both write, byte for byte, `json.dumps(doc, indent=2)`, through
+the one writer `_json_text`.  Diagnostics go to stderr.  Exit codes: 0
+success (for verify and classify this requires every check to pass), 1
+failed checks or probes that constrain nothing, 2 usage errors, an
+`--out` path that cannot be written included; `main` also exits 2 when
+stdout is closed before the output is written, as in
+`prodrule table ... | head -1`.
 
 `run` builds the argparse parser on its first call and reuses it for
 every later call in the process; `build_parser` still returns a fresh
@@ -22,10 +24,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .classifier import DEFAULT_PROBES, ConstraintRecord, WeakProbesError, solve_c
@@ -166,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_table.add_argument("--family", required=True, choices=[fam.value for fam in FamilyId])
     p_table.add_argument("--max", type=_nonnegative_int, required=True, metavar="N",
-                         help="last index, at most 10^6 (as a process: 3.9 s, 245 MiB; 5.1 s, 489 MiB in json)")
+                         help="last index, at most 10^6 (as a process: 3.9 s, 245 MiB; 4.4-6.1 s, 382 MiB in json)")
 
     p_constraints = sub.add_parser(
         "constraints",
@@ -290,6 +292,35 @@ _COMMANDS = {
 
 _shared_parser = functools.cache(build_parser)
 
+_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _json_text(value, indent: str = "") -> str:
+    """`json.dumps(value, indent=2)` for a document of dicts, lists, strs, ints, bools and None.
+
+    `json` runs its pure-Python encoder whenever `indent` is set; this
+    writer quotes every string with json's C `encode_basestring_ascii`
+    and lays the containers out by joins.  A float, or a dict key that
+    is not a str, raises TypeError: no command's document holds either.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if isinstance(value, list):
+        brackets, items = "[]", [_json_text(item, inner) for item in value]
+    elif isinstance(value, dict):
+        brackets, items = "{}", [f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+                                 for key, item in value.items()]
+    elif value is None or isinstance(value, bool):   # before int: a bool is an int
+        return _JSON_CONSTANTS[value]
+    elif isinstance(value, int):
+        return int.__repr__(value)
+    else:
+        raise TypeError(f"a {type(value).__name__} has no place in a JSON document")
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
 
 def run(argv=None) -> int:
     """Parse argv, execute one command, and return the exit code."""
@@ -308,7 +339,7 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out or args.format == "json":
-        document = json.dumps(doc, indent=2)
+        document = _json_text(doc)
     if args.out:
         try:
             Path(args.out).write_text(document + "\n")

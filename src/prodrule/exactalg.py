@@ -367,10 +367,11 @@ def _split_roots(f: Poly) -> tuple[tuple[tuple[Fraction, int], ...], list[int]]:
     work = _primitive(coeffs[zeros:])
     found = [(_ZERO, zeros)] if zeros else []
     if len(work) > 1:
+        denominators = _divisors(work[-1])
         candidates = [
             (sign * p, q)
             for p in _divisors(work[0])
-            for q in _divisors(work[-1])
+            for q in denominators
             if math.gcd(p, q) == 1
             for sign in (1, -1)
         ]

@@ -35,9 +35,6 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 ADDRESS_SPACE = 2 << 30
 TIMEOUT_S = 600
-# hypothesis imports libcst to report a failing example, and that import warns; as an
-# error it would stop the pytest run at the first failing property test
-_LIBCST_WARNING = "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
 
 
 class Mutant(NamedTuple):
@@ -50,6 +47,7 @@ class Mutant(NamedTuple):
 
 _VT = "tests/test_veritool.py::"
 _SE = "tests/test_seqengine.py::"
+_CLI = "tests/test_cli.py::"
 
 MUTANTS = [
     # the grid's row check
@@ -76,7 +74,10 @@ MUTANTS = [
         "if m > deciding:",
         (_VT + "test_a_passing_grid_checks_only_its_deciding_rows[FamilyId.ZERO-40]",
          _VT + "test_a_passing_grid_checks_only_its_deciding_rows[FamilyId.TRIANGULAR-40]",
-         _VT + "test_verify_family_matches_the_integer_brute_force_on_random_pieces"),
+         _VT + "test_verify_family_matches_the_integer_brute_force_on_random_pieces",
+         _VT + "test_a_corrupted_piece_fails_past_the_deciding_rows[ceilhalf-odd]",
+         _VT + "test_a_corrupted_piece_fails_past_the_deciding_rows[period3-one]",
+         _VT + "test_a_corrupted_piece_fails_past_the_deciding_rows[triangular]"),
         "a failing grid reports only the failures of its deciding rows",
     ),
     Mutant(
@@ -149,6 +150,39 @@ MUTANTS = [
          "tests/test_exactalg.py::test_root_extraction_matches_the_fraction_reference"),
         "the remainder check of _divide_linear dropped: every candidate divides",
     ),
+    Mutant(
+        "src/prodrule/exactalg.py",
+        "denominators = _divisors(work[-1])",
+        "denominators = _divisors(work[0])",
+        ("tests/test_exactalg.py::test_root_extraction_matches_the_fraction_reference",
+         "tests/test_exactalg.py::test_rational_roots_fractional"),
+        "the hoisted denominators read off the constant term instead of the leading coefficient",
+    ),
+    # the rendering of a report
+    Mutant(
+        "src/prodrule/classifier.py",
+        'base = f"c + {text[1:]}"',
+        'base = f"c - {text[1:]}"',
+        (_CLI + "test_stdout_matches_golden[classify]",
+         "tests/test_classifier.py::test_linear_factor_str_matches_the_polynomial_rendering"),
+        "the factor of a negative root printed with a minus sign",
+    ),
+    Mutant(
+        "src/prodrule/cli.py",
+        'f",\\n{inner}".join(items)',
+        'f"\\n{inner}".join(items)',
+        (_CLI + "test_stdout_matches_golden[classify --format json]",
+         _CLI + "test_out_file_matches_golden[table --family half --max 20]",
+         _CLI + "test_the_writer_matches_json_dumps_on_any_document"),
+        "the JSON writer's item separator without its comma",
+    ),
+    Mutant(
+        "src/prodrule/cli.py",
+        "{encode_basestring_ascii(key)}: ",
+        '\\"{key}\\": ',
+        (_CLI + "test_the_writer_matches_json_dumps_on_any_document",),
+        "dict keys quoted without escaping: golden keys are plain ASCII names, so only the differential test sees it",
+    ),
 ]
 
 
@@ -165,7 +199,7 @@ def _failing(tree: Path, tests) -> set[str] | None:
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
-             "--hypothesis-seed=0", "-W", _LIBCST_WARNING, *tests],
+             "--hypothesis-seed=0", *tests],
             cwd=tree, env={**os.environ, "PYTHONPATH": "src"},
             capture_output=True, text=True, timeout=TIMEOUT_S, preexec_fn=_cap_address_space,
         )

@@ -19,6 +19,7 @@ from prodrule.classifier import (
     WeakProbesError,
     branch_analysis,
     cofactor_gcd_check,
+    linear_factor_str,
     solve_c,
 )
 from prodrule.exactalg import Poly, equal_up_to_scalar, poly_gcd
@@ -301,3 +302,13 @@ def test_report_serialization_is_deterministic(table):
     a = json.dumps(solve_c(DEFAULT_PROBES, table).to_dict(), indent=2)
     b = json.dumps(solve_c(DEFAULT_PROBES, table).to_dict(), indent=2)
     assert a == b
+
+
+@given(root=st.fractions(), multiplicity=st.integers(1, 4))
+@example(root=Fraction(0), multiplicity=1)
+@example(root=Fraction(-7, 3), multiplicity=2)
+@example(root=Fraction(10**30 + 1, 3), multiplicity=4)
+def test_linear_factor_str_matches_the_polynomial_rendering(root, multiplicity):
+    base = str(Poly((-root, 1)))
+    want = f"({base})^{multiplicity}" if multiplicity > 1 else base
+    assert linear_factor_str(root, multiplicity) == want

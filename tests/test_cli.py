@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import kernel_reference as ref
 import prodrule.cli as cli
@@ -173,6 +175,33 @@ def test_out_file_matches_golden(capsys, monkeypatch, tmp_path, case):
 def _twin(argv):
     """The same call in the other output format."""
     return argv[:-2] if argv[-2:] == ["--format", "json"] else argv + ["--format", "json"]
+
+
+@pytest.mark.parametrize("case", list(GOLDEN) + ["table --family ceilhalf --max 30 --format json"])
+def test_the_writer_matches_json_dumps_on_every_command_document(monkeypatch, case):
+    args = cli.build_parser().parse_args(_golden_argv(case, monkeypatch))
+    _, doc = cli._COMMANDS[args.command][0](args)
+    assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+
+_json_documents = st.recursive(
+    st.one_of(st.text(), st.integers(), st.booleans(), st.none()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@given(doc=_json_documents)
+@example(doc={"": [], "k": {}, "é\u2603\U0001f600": "\"\\/\x00\x1f\x7f\t\n\u2028é\U0001f600"})
+@example(doc=[[[], {}], {"a": {"b": [{}]}}, 10**400, -(2**127), 0, -1, True, False, None])
+def test_the_writer_matches_json_dumps_on_any_document(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [1.5, [0.0], {"rows": [1, 2.5]}, {1: "one"}, {"a": {None: 1}}])
+def test_the_writer_refuses_floats_and_keys_that_are_not_str(doc):
+    with pytest.raises(TypeError):
+        cli._json_text(doc)
 
 
 @pytest.mark.parametrize("case", list(GOLDEN))

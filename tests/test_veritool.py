@@ -119,6 +119,31 @@ def test_a_corrupted_family_fails_exactly_where_the_rule_breaks(
     assert report.checked == grid * grid
 
 
+@pytest.mark.parametrize(
+    "family, r, piece",
+    [
+        pytest.param(FamilyId.CEIL_HALF, 1, (3, 1, 0), id="ceilhalf-odd"),
+        pytest.param(FamilyId.PERIOD3, 1, (4, 0, 0), id="period3-one"),
+        pytest.param(FamilyId.TRIANGULAR, 0, (0, 3, 1), id="triangular"),
+    ],
+)
+def test_a_corrupted_piece_fails_past_the_deciding_rows(monkeypatch, family, r, piece):
+    # one piece changed within the family's own period M keeps M and delta, so
+    # rows past M (delta + 1) are checked only because a deciding row failed
+    grid = 30
+    pieces = list(seqengine.FAMILY_PIECES[family])
+    pieces[r] = piece
+    monkeypatch.setitem(seqengine.FAMILY_PIECES, family, tuple(pieces))
+
+    def u(n):
+        c, b, a = pieces[n % len(pieces)]
+        return c + b * n + a * n * n
+
+    want = _reference_verify(family, grid, u)
+    assert max(f.m for f in want.failures) > DECIDING_ROWS[family]
+    assert verify_family(family, grid).failures == want.failures
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     family=st.sampled_from(list(FamilyId)),
