@@ -27,7 +27,7 @@ from functools import reduce
 
 # rational_roots is unused here but stays importable: perfbench/tracer.py patches it
 from .exactalg import Poly, RatFunc, extract_rational_factors, poly_gcd, rational_roots  # noqa: F401
-from .seqengine import FamilyId, SymbolicTable, derive_d, residual_numerator
+from .seqengine import FamilyId, SymbolicTable, derive_d, family_value, residual_numerator
 
 __all__ = [
     "DEFAULT_PROBES",
@@ -44,10 +44,9 @@ __all__ = [
 
 DEFAULT_PROBES: tuple[tuple[int, int], ...] = ((3, 3), (3, 5))
 
+# the families of the a = 0, b = 1 branch, by their c = T(2)
 FAMILY_BY_C: dict[Fraction, FamilyId] = {
-    Fraction(0): FamilyId.PERIOD3,
-    Fraction(1): FamilyId.CEIL_HALF,
-    Fraction(3): FamilyId.TRIANGULAR,
+    family_value(f, 2): f for f in FamilyId if (family_value(f, 0), family_value(f, 1)) == (0, 1)
 }
 
 PERIOD3_NOTE = (

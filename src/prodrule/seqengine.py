@@ -19,18 +19,24 @@ D have no common root, so the quotient is already in lowest terms and no
 gcd runs.  d is a constant of the problem, derived once per process.
 
 `SymbolicTable` bakes that value in, making every entry a rational
-function of c alone.  Since d - c = (2c^3 - 2c^2 + 2c)/D, every entry,
-and every residual built from them, is P/D^e with P an integer
-polynomial.  The table stores exactly that pair: P as a tuple of Python
-ints (constant term first) and the exponent e.  Entries combine by the
-coefficient-tuple helpers `Poly` runs on, scaling with powers of the
-monic D and then dividing D out of P while it divides exactly.  D is
-irreducible over Q, so gcd(P, D^e) is always a power of D and no
-general gcd is ever needed; a stripped pair is already the canonical
-`RatFunc` P/D^e, which is built only when a caller asks for a symbolic
-value.  Like d, each entry is a constant of the problem: each T(n) is
-derived once per process and shared by all tables, which differ only in
-their reach and their residual memos.
+function of c alone.  With g = d - c = G/D, G = 2c^3 - 2c^2 + 2c, every
+entry and every residual is P/D^e, P an integer polynomial, and the
+table stores exactly that pair: P as a tuple of ints (constant term
+first) and e.  Pairs combine by the coefficient-tuple helpers `Poly`
+runs on, scaling with powers of the monic D; `_halve` runs the
+identities on them as on the polynomials in d of `derive_d`.  D does not
+divide an entry's P, by construction: from T(0..3) = 0, 1, c, c + g the
+identities make every T(n) a polynomial in c and g with non-negative
+integer coefficients, of degree e in g.  D is irreducible, so D | P only
+if P(c*) = 0 at its root c* = sqrt(2) - 1 > 0, but P(c*) is the positive
+leading g-coefficient at c* times G(c*)^e != 0.  So an entry is already
+the canonical `RatFunc` P/D^e, built only when a caller asks for a
+symbolic value, and no gcd ever runs.  A residual is a difference whose
+leading terms can cancel, so `_strip_d` divides D out of its P while it
+divides, first for (13, 15), where e falls from 5 to 4.  Like d, each
+entry is a constant of the problem: each T(n) is derived once per
+process and shared by all tables, which differ only in their reach and
+their residual memos.
 
 Evaluation at a rational point c0 = p/q stays in integers, by one
 evaluator: the C-level dot product s = q^k P(c0) = sum(map(mul, P, w))
@@ -50,10 +56,9 @@ a polynomial constraint on c: the instance holds exactly at the roots.
 The five closed-form solution families live in `FamilyId`; each is
 defined once, as data in `FAMILY_PIECES`: a period M and, for each
 residue class r mod M, one integer piece (c, b, a) of its closed form
-u(x) = 2 T(x) = c + b x + a x^2 for x = r (mod M).  `doubled_form`
-evaluates u at a point, `doubled_values` lists u(0..N) one class at a
-time, by the helper that also lists the grid's rows, u at the multiples
-of m, and `family_value` is u(n)/2.
+u(x) = 2 T(x) = c + b x + a x^2 for x = r (mod M).  `doubled_values`
+lists u(0..N) one class at a time, by the helper that also lists the
+grid's rows, u at the multiples of m, and `family_value` is u(n)/2.
 """
 
 from __future__ import annotations
@@ -73,7 +78,6 @@ __all__ = [
     "FamilyId",
     "SymbolicTable",
     "derive_d",
-    "doubled_form",
     "doubled_values",
     "family_pieces",
     "family_value",
@@ -133,11 +137,6 @@ def _piece_value(pieces: tuple[tuple[int, int, int], ...], n: int) -> int:
     return c + (b + a * n) * n
 
 
-def doubled_form(family: FamilyId) -> Callable[[int], int]:
-    """The integer closed form u(n) = 2 T(n) of a family, for n >= 0."""
-    return functools.partial(_piece_value, family_pieces(family))
-
-
 def _piece_values(pieces: tuple[tuple[int, int, int], ...], top: int, step: int = 1) -> list[int]:
     """u(0), u(step), ..., u(top step) of pieces, one comprehension per residue class of the index."""
     period = len(pieces)
@@ -154,10 +153,10 @@ def doubled_values(family: FamilyId, top: int) -> list[int]:
 
 
 def family_value(family: FamilyId, n: int) -> Fraction:
-    """T(n) of a family, u(n)/2 for its integer closed form u = 2T of `doubled_form`."""
+    """T(n) of a family, u(n)/2 for its integer closed form u = 2T."""
     if n < 0:
         raise ValueError("sequence indices start at 0")
-    return Fraction(doubled_form(family)(n), 2)
+    return Fraction(_piece_value(family_pieces(family), n), 2)
 
 
 @functools.cache
@@ -182,16 +181,16 @@ def _strip_d(p: tuple[int, ...], e: int) -> tuple[tuple[int, ...], int]:
 
 
 def _sum(*terms: tuple[tuple[int, ...], int]) -> tuple[tuple[int, ...], int]:
-    """The sum of several P/D^e pairs, over their largest exponent."""
+    """The sum of several P/D^e pairs, over their largest exponent, unreduced."""
     top = max(e for _, e in terms)
     acc: tuple[int, ...] = ()
     for p, e in terms:
         acc = _add(acc, p if e == top else _mul(p, _d_power(top - e)))
-    return _strip_d(acc, top)
+    return acc, top
 
 
 def _ratfunc(pair: tuple[tuple[int, ...], int]) -> RatFunc:
-    """The canonical `RatFunc` P/D^e of a stripped pair."""
+    """The canonical `RatFunc` P/D^e of a pair with D not dividing P."""
     p, e = pair
     return RatFunc._from_canonical(Poly(p), Poly(_d_power(e)))
 
@@ -249,6 +248,28 @@ def walk_value(n: int, c0) -> Fraction:
     return Fraction(b, den * s**steps) if n else Fraction(0)
 
 
+def _halve(memo: dict, n: int, steps: tuple[Callable, Callable]):
+    """memo[n] by steps = (even, odd), mapping (T(k), T(k-1)) to T(2k) and T(2k - 1), from seeds T(0..3).
+
+    No recursion, so any index fills at any recursion limit: collect the
+    unfilled indices level by level, at most 3 per level, then fill upward.
+    """
+    levels = [{n}]
+    while levels[-1]:
+        levels.append({i for m in levels[-1] for i in ((m + 1) // 2, (m - 1) // 2) if i not in memo})
+    for level in reversed(levels):
+        for m in level:
+            k = (m + 1) // 2
+            memo[m] = steps[m % 2](memo[k], memo[k - 1])
+    return memo[n]
+
+
+# on (P, e) pairs: c T(k) + T(k-1), c shifting P up, and T(k) + (d - c) T(k-1), d - c = _D_MINUS_C / D
+_PAIR_STEPS = (
+    lambda a, b: _sum((_mul(_C, a[0]), a[1]), b),
+    lambda a, b: _sum(a, (_mul(_D_MINUS_C, b[0]), b[1] + 1)),
+)
+
 # the one entry memo, shared by all tables like the powers of D and seeded
 # with T(0..3); entries are immutable and a racing fill stores an equal value
 _ENTRIES = {0: ((), 0), 1: ((1,), 0), 2: (_C, 0), 3: (_D_NUMER, 1)}
@@ -256,26 +277,7 @@ _ENTRIES = {0: ((), 0), 1: ((1,), 0), 2: (_C, 0), 3: (_D_NUMER, 1)}
 
 def _fill(n: int) -> tuple[tuple[int, ...], int]:
     """The pair (P, e) of T(n), n an int, by the halving identities, memoized per process."""
-    entry = _ENTRIES.get(n)
-    if entry is not None:
-        return entry
-    # no recursion, so any index fills at any recursion limit: collect the
-    # unfilled indices level by level, at most 3 per level, then fill upward
-    levels = [{n}]
-    while levels[-1]:
-        levels.append({i for m in levels[-1] for i in ((m + 1) // 2, (m - 1) // 2)
-                       if i not in _ENTRIES})
-    for level in reversed(levels):
-        for m in level:
-            k = (m + 1) // 2
-            (pa, ea), (pb, eb) = _ENTRIES[k], _ENTRIES[k - 1]
-            if m % 2:
-                # T(k) + (d - c) T(k-1), with d - c = _D_MINUS_C / D
-                _ENTRIES[m] = _sum((pa, ea), (_mul(_D_MINUS_C, pb), eb + 1))
-            else:
-                # c T(k) + T(k-1); multiplying by c shifts the coefficients up
-                _ENTRIES[m] = _sum((_mul(_C, pa), ea), (pb, eb))
-    return _ENTRIES[n]
+    return _ENTRIES.get(n) or _halve(_ENTRIES, n, _PAIR_STEPS)   # a pair is never falsy
 
 
 class SymbolicTable:
@@ -284,7 +286,8 @@ class SymbolicTable:
     Entries 0..3 are 0, 1, c and d(c); larger indices fill on demand via
     the halving identities.  Each entry is stored as a pair (P, e) of
     integer coefficients and a power of D, meaning P/D^e with D not
-    dividing P (see the module docstring); `value` turns it into the
+    dividing P by construction (see the module docstring; only residuals
+    shed factors of D, first (13, 15)); `value` turns it into the
     canonical `RatFunc` without running a gcd.  The entries live in one
     memo shared by every table in the process: it holds one pair per
     distinct index any table has reached, each with O(log n)
@@ -334,21 +337,18 @@ class SymbolicTable:
 _ONE = Poly((1,))
 _FREE_C = (C_POLY,)
 _FREE_D_MINUS_C = (-C_POLY, _ONE)
-
-
-def _free_d_entries(top: int) -> list[tuple[Poly, ...]]:
-    """T(0), ..., T(top) by the halving identities with d = T(3) left free."""
-    t = [(), (_ONE,), _FREE_C, (Poly(), _ONE)]
-    for n in range(4, top + 1):
-        a, b = t[(n + 1) // 2], t[(n - 1) // 2]
-        t.append(_add(a, _mul(_FREE_D_MINUS_C, b)) if n % 2
-                 else _add(_mul(_FREE_C, a), b))
-    return t
+_FREE_SEEDS = {0: (), 1: (_ONE,), 2: _FREE_C, 3: (Poly(), _ONE)}   # T(0..3) = 0, 1, c, d
+_FREE_STEPS = (
+    lambda a, b: _add(_mul(_FREE_C, a), b),
+    lambda a, b: _add(a, _mul(_FREE_D_MINUS_C, b)),
+)
 
 
 def _t18_difference() -> tuple[Poly, ...]:
     """The (3, 6) route to T(18) minus the halving route, as a polynomial in d."""
-    t = _free_d_entries(8)
+    t = dict(_FREE_SEEDS)
+    for n in (5, 6, 8):
+        _halve(t, n, _FREE_STEPS)
     t9 = _add(_mul(t[3], t[3]), _mul(t[2], t[2]))   # (3, 3) instance
     e1 = _add(_mul(t[3], t[6]), _mul(t[2], t[5]))   # (3, 6) instance
     e2 = _add(_mul(_FREE_C, t9), t[8])               # T(18) = c T(9) + T(8)
@@ -393,11 +393,11 @@ def _residual_pair(m: int, n: int, table: SymbolicTable | None):
         top = _fill(table._reach(m * n))   # mn bounds every index the instance needs: checked before any fill
         (pm, em), (pn, en) = _fill(m), _fill(n)
         (pm1, em1), (pn1, en1) = _fill(m - 1), _fill(n - 1)
-        pair = table._residuals[m, n] = _sum(
+        pair = table._residuals[m, n] = _strip_d(*_sum(   # a difference: D may divide its P
             top,
             (_neg(_mul(pm, pn)), em + en),
             (_neg(_mul(pm1, pn1)), em1 + en1),
-        )
+        ))
     return pair
 
 

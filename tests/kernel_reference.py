@@ -16,7 +16,7 @@ per value from it: the crosscheck at each index, the scan at each probe.
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 
 from prodrule.classifier import PERIOD3_NOTE
 from prodrule.exactalg import Poly, RatFunc, _divisors, exact_div
@@ -25,8 +25,9 @@ from prodrule.seqengine import (
     SymbolicTable,
     _fill,
     _point,
+    _piece_value,
     _residual_pair,
-    doubled_form,
+    family_pieces,
     family_value,
 )
 from prodrule.veritool import CheckFailure, VerifyReport
@@ -318,6 +319,11 @@ def _ints_at(pair, num, den, d):
     if shift >= 0:
         return top * den**shift, d**e
     return top, den**-shift * d**e
+
+
+def doubled_form(family):
+    """The integer closed form u(n) = 2 T(n) of a family, for n >= 0, read off its pieces."""
+    return partial(_piece_value, family_pieces(family))
 
 
 def crosscheck_specialization(c0, family, max_n, table=None):

@@ -155,7 +155,8 @@ MUTANTS = [
         "denominators = _divisors(work[-1])",
         "denominators = _divisors(work[0])",
         ("tests/test_exactalg.py::test_root_extraction_matches_the_fraction_reference",
-         "tests/test_exactalg.py::test_rational_roots_fractional"),
+         "tests/test_exactalg.py::test_rational_roots_fractional",
+         "tests/test_exactalg.py::test_rational_roots_verified_and_complete"),
         "the hoisted denominators read off the constant term instead of the leading coefficient",
     ),
     # the rendering of a report
@@ -182,6 +183,23 @@ MUTANTS = [
         '\\"{key}\\": ',
         (_CLI + "test_the_writer_matches_json_dumps_on_any_document",),
         "dict keys quoted without escaping: golden keys are plain ASCII names, so only the differential test sees it",
+    ),
+    # the halving fill
+    Mutant(
+        "src/prodrule/seqengine.py",
+        "lambda a, b: _add(a, _mul(_FREE_D_MINUS_C, b)),",
+        "lambda a, b: _add(a, _mul(_FREE_C, b)),",
+        (_SE + "test_free_d_entries_match_the_bivariate_reference",
+         _SE + "test_t18_relation_matches_the_reference",
+         _SE + "test_derive_d_matches_closed_form"),
+        "the d-free odd step multiplies by c instead of d - c",
+    ),
+    Mutant(
+        "src/prodrule/seqengine.py",
+        "pair = table._residuals[m, n] = _strip_d(*_sum(",
+        "pair = table._residuals[m, n] = tuple(_sum(",
+        (_SE + "test_residual_matches_ratfunc_reference",),
+        "the residual's D-strip dropped: (13, 15) keeps a factor of D in its numerator",
     ),
 ]
 

@@ -59,7 +59,7 @@ CALLERS_USE = {
 RETIRED = {
     "exactalg": {"Poly2", "_homogeneous_eval", "Rational"},
     "seqengine": {"BivariateTable", "_HalvingTable", "d_of_c", "_C2", "_D_MINUS_C2", "_D_POWERS", "_scales",
-                  "_value", "residual", "residual_numerator_at"},
+                  "_value", "residual", "residual_numerator_at", "doubled_form"},
     "veritool": {"_powers", "_scales"},
     "cli": {"_TEXT", "_FAMILIES"},
 }

@@ -17,7 +17,7 @@ import prodrule.seqengine as seqengine
 import prodrule.veritool as veritool
 from prodrule.cli import run
 from prodrule.exactalg import Poly
-from prodrule.seqengine import FamilyId, derive_d, doubled_form
+from prodrule.seqengine import FamilyId, derive_d
 from prodrule.veritool import CheckFailure, VerifyReport
 
 # exit code, stdout, stderr and the `--out` file keyed by argv, each generated
@@ -149,7 +149,7 @@ def _golden_argv(case, monkeypatch):
     if argv[0] == "corrupt":
         argv = argv[1:]
         grid = int(argv[argv.index("--max") + 1])
-        u = doubled_form(FamilyId.CEIL_HALF)
+        u = ref.doubled_form(FamilyId.CEIL_HALF)
         pieces = ref.constant_pieces(lambda n: 7 if n == 6 else u(n), grid * grid)
         monkeypatch.setitem(seqengine.FAMILY_PIECES, FamilyId.CEIL_HALF, pieces)
     return argv

@@ -285,13 +285,18 @@ def test_gcd_respects_common_factor(f, g, h):
 
 
 @given(f=nonzero_polys)
+@example(f=Poly((-1, 2)))   # the root 1/2 needs a denominator from the leading coefficient
 def test_rational_roots_verified_and_complete(f):
+    # completeness by the `Fraction` reference, not by the routine under test
     roots, cofactor = extract_rational_factors(f)
+    product = cofactor
     for root, mult in roots:
         assert f(root) == 0
         assert mult >= 1
+        product = product * Poly((-root, 1)) ** mult
+    assert product == f
     if cofactor.degree >= 1:
-        assert rational_roots(cofactor) == ()
+        assert ref.rational_roots(cofactor) == ()
 
 
 @given(num=polys, den=nonzero_polys, k=nonzero_rationals)

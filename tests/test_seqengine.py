@@ -34,7 +34,6 @@ from prodrule.seqengine import (
     FamilyId,
     SymbolicTable,
     derive_d,
-    doubled_form,
     family_value,
     residual_numerator,
     walk_value,
@@ -91,12 +90,21 @@ def _all_int(polys):
 
 
 def test_free_d_entries_match_the_bivariate_reference():
+    # the shared fill with the d-free steps, from the top down so that 64 fills its whole chain first
     biv = ref.BivariateTable()
-    entries = seqengine._free_d_entries(64)
-    assert len(entries) == 65
-    for n, entry in enumerate(entries):
+    entries = dict(seqengine._FREE_SEEDS)
+    for n in range(64, 3, -1):
+        seqengine._halve(entries, n, seqengine._FREE_STEPS)
+    assert sorted(entries) == list(range(65))
+    for n, entry in entries.items():
         assert entry == biv.value(n).coeffs, n
         assert _all_int(entry), n
+
+
+def test_no_entry_sheds_a_factor_of_d():
+    # the module docstring's proof: D never divides an entry's P, so only residuals strip
+    for n in range(DEFAULT_MAX_INDEX + 1):
+        assert seqengine._strip_d(*seqengine._fill(n)) == seqengine._fill(n), n
 
 
 def test_t18_relation_matches_the_reference():
@@ -261,7 +269,7 @@ def test_unknown_family_is_a_type_error():
         with pytest.raises(TypeError, match="unknown family"):
             family_value(bad, 4)
         with pytest.raises(TypeError, match="unknown family"):
-            doubled_form(bad)
+            ref.doubled_form(bad)
     # the index is checked first, as before
     with pytest.raises(ValueError):
         family_value("triangular", -1)
@@ -282,7 +290,7 @@ def _former_family_value(family, n):
 
 @pytest.mark.parametrize("family", list(FamilyId))
 def test_doubled_form_is_twice_the_family_value(family):
-    u = doubled_form(family)
+    u = ref.doubled_form(family)
     for n in range(500):
         assert type(u(n)) is int
         assert u(n) == 2 * _former_family_value(family, n)

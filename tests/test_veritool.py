@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import kernel_reference as ref
 import prodrule.seqengine as seqengine
 import prodrule.veritool as veritool
-from prodrule.seqengine import FamilyId, SymbolicTable, doubled_form, family_value, residual_numerator
+from prodrule.seqengine import FamilyId, SymbolicTable, family_value, residual_numerator
 from prodrule.veritool import (
     CheckFailure,
     VerifyReport,
@@ -48,7 +48,7 @@ def test_a_corrupted_sequence_fails():
 
 def _corrupted(family, k, bad_u):
     """The family's closed form u = 2T with u(k) replaced by bad_u."""
-    u = doubled_form(family)
+    u = ref.doubled_form(family)
     return lambda n: bad_u if n == k else u(n)
 
 
@@ -186,7 +186,7 @@ def _two_corruptions(draw):
 @example(case=(FamilyId.PERIOD3, 1, {0: 2, 1: 0}))
 def test_streaming_verify_matches_the_fraction_table_on_two_corruptions(case):
     family, max_mn, bad = case
-    base = doubled_form(family)
+    base = ref.doubled_form(family)
 
     def u(n):
         return bad.get(n, base(n))
