@@ -1,7 +1,8 @@
 """Exact checks of the product rule on closed-form families and specializations.
 
-A family is checked on the full square (m, n) grid by rows of ints, and a
-symbolic specialization index by index against a family's closed form,
+A family is checked by rows of ints on the square (m, n) grid that decides
+every cell, and on the whole N x N grid only if that fails; a symbolic
+specialization is checked index by index against a family's closed form,
 read as data: its integer pieces of u = 2T in `seqengine.FAMILY_PIECES`.
 The specialization checks evaluate the symbolic table by the dot products
 of `seqengine`, one `_basis` per call, and raise TypeError for a c0 that is
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from operator import mul
+from operator import index, mul
 
 # residual_numerator is unused here but stays importable: perfbench/tracer.py patches it
 from .seqengine import (  # noqa: F401
@@ -80,31 +81,34 @@ def verify_family(family: FamilyId, max_mn: int) -> VerifyReport:
     """Check T(mn) = T(m)T(n) + T(m-1)T(n-1) for every 1 <= m, n <= max_mn.
 
     Row m of 2 u(mn) = u(m)u(n) + u(m-1)u(n-1), u = 2T, is two lists of
-    ints over n = 1..N compared with one `==`.  For fixed n and class of m
-    mod M, mn stays in one class, so the defect is a polynomial in m of
-    degree at most delta, the largest piece degree: rows 1..min(N,
-    M (delta + 1)) decide the grid, in time O(M delta N) and memory O(N).
-    Only if one fails is every row checked, its failing cells reported in
+    ints compared with one `==`.  On a pair of classes of (m, n) mod M the
+    defect is a polynomial of degree at most delta, the largest piece
+    degree, in each of m and n, so (Alon, Lemma 2.1) the square 1..d by
+    1..d, d = min(N, M (delta + 1)), decides the grid: a pass costs
+    O(M^2 (delta + 1)^2) whatever N.  Only if a cell of it fails is every
+    row 1..N checked, in memory O(N), the failing cells reported in
     row-major order with exact `Fraction` sides; `checked` is N^2.
     """
+    max_mn = index(max_mn)   # a float N is refused before any work
     if max_mn < 1:
         raise ValueError("max_mn must be positive")
     pieces = family_pieces(family)
     twice = tuple((2 * c, 2 * b, 2 * a) for c, b, a in pieces)
     degree = max((j for piece in pieces for j, coef in enumerate(piece) if coef), default=0)
     deciding = min(max_mn, len(pieces) * (degree + 1))
-    us = doubled_values(family, max_mn)
-    failures: list[CheckFailure] = []
-    for m in range(1, max_mn + 1):
-        if m > deciding and not failures:
+    for top in (deciding, max_mn):
+        us = doubled_values(family, top)
+        failures: list[CheckFailure] = []
+        for m in range(1, top + 1):
+            um, um1 = us[m], us[m - 1]
+            left = _piece_values(twice, top, m)[1:]
+            right = [um * x + um1 * y for x, y in zip(us[1:], us)]   # u(n), u(n - 1)
+            if left != right:
+                failures += [CheckFailure(m, n, Fraction(x, 4), Fraction(y, 4))
+                             for n, (x, y) in enumerate(zip(left, right), 1) if x != y]
+            del left, right   # freed before the next row is built
+        if not failures or top == max_mn:
             break
-        um, um1 = us[m], us[m - 1]
-        left = _piece_values(twice, max_mn, m)[1:]
-        right = [um * x + um1 * y for x, y in zip(us[1:], us)]   # u(n), u(n - 1)
-        if left != right:
-            failures += [CheckFailure(m, n, Fraction(x, 4), Fraction(y, 4))
-                         for n, (x, y) in enumerate(zip(left, right), 1) if x != y]
-        del left, right   # freed before the next row is built
     return VerifyReport(
         subject=f"family:{family.value}",
         range=max_mn,

@@ -50,7 +50,7 @@ _SE = "tests/test_seqengine.py::"
 _CLI = "tests/test_cli.py::"
 
 MUTANTS = [
-    # the grid's row check
+    # the grid's deciding square
     Mutant(
         "src/prodrule/veritool.py",
         "deciding = min(max_mn, len(pieces) * (degree + 1))",
@@ -70,15 +70,22 @@ MUTANTS = [
     ),
     Mutant(
         "src/prodrule/veritool.py",
-        "if m > deciding and not failures:",
-        "if m > deciding:",
-        (_VT + "test_a_passing_grid_checks_only_its_deciding_rows[FamilyId.ZERO-40]",
-         _VT + "test_a_passing_grid_checks_only_its_deciding_rows[FamilyId.TRIANGULAR-40]",
-         _VT + "test_verify_family_matches_the_integer_brute_force_on_random_pieces",
-         _VT + "test_a_corrupted_piece_fails_past_the_deciding_rows[ceilhalf-odd]",
+        "if not failures or top == max_mn:",
+        "if True:",
+        (_VT + "test_a_corrupted_piece_fails_past_the_deciding_rows[ceilhalf-odd]",
          _VT + "test_a_corrupted_piece_fails_past_the_deciding_rows[period3-one]",
-         _VT + "test_a_corrupted_piece_fails_past_the_deciding_rows[triangular]"),
-        "a failing grid reports only the failures of its deciding rows",
+         _VT + "test_a_corrupted_piece_fails_past_the_deciding_rows[triangular]",
+         _VT + "test_class_decision_matches_the_fraction_table_on_random_pieces",
+         _VT + "test_verify_family_matches_the_integer_brute_force_on_random_pieces"),
+        "the whole grid never rechecked after a failing square",
+    ),
+    Mutant(
+        "src/prodrule/veritool.py",
+        "    max_mn = index(max_mn)   # a float N is refused before any work\n",
+        "",
+        tuple(_VT + f"test_verify_family_refuses_a_float_bound[FamilyId.{name}]"
+              for name in ("ZERO", "HALF", "CEIL_HALF", "PERIOD3", "TRIANGULAR")),
+        "operator.index dropped: a passing square accepts a float N and reports a float checked",
     ),
     Mutant(
         "src/prodrule/seqengine.py",

@@ -128,8 +128,8 @@ def test_a_corrupted_family_fails_exactly_where_the_rule_breaks(
     ],
 )
 def test_a_corrupted_piece_fails_past_the_deciding_rows(monkeypatch, family, r, piece):
-    # one piece changed within the family's own period M keeps M and delta, so
-    # rows past M (delta + 1) are checked only because a deciding row failed
+    # one piece changed within the family's own period M keeps M and delta, so rows
+    # and columns past M (delta + 1) are checked only because the deciding square failed
     grid = 30
     pieces = list(seqengine.FAMILY_PIECES[family])
     pieces[r] = piece
@@ -141,6 +141,7 @@ def test_a_corrupted_piece_fails_past_the_deciding_rows(monkeypatch, family, r, 
 
     want = _reference_verify(family, grid, u)
     assert max(f.m for f in want.failures) > DECIDING_ROWS[family]
+    assert max(f.n for f in want.failures) > DECIDING_ROWS[family]
     assert verify_family(family, grid).failures == want.failures
 
 
@@ -306,14 +307,17 @@ DECIDING_ROWS = {
 @pytest.mark.parametrize("max_mn", [1, 2, 3, 5, 7, 40])
 @pytest.mark.parametrize("family", list(FamilyId))
 def test_a_passing_grid_checks_only_its_deciding_rows(monkeypatch, family, max_mn):
-    # a passing grid builds rows 1..min(N, M (delta + 1)); a failing one builds all N rows
+    # a passing grid builds rows 1..d over n <= d, d = min(N, M (delta + 1));
+    # a failing one builds that square, then, if d < N, rows 1..N over n <= N
     rows = []
     values = seqengine._piece_values
     monkeypatch.setattr(veritool, "_piece_values",
-                        lambda pieces, top, step=1: rows.append(step) or values(pieces, top, step))
+                        lambda pieces, top, step=1: rows.append((step, top)) or values(pieces, top, step))
+    deciding = min(max_mn, DECIDING_ROWS[family])
+    square = [(m, deciding) for m in range(1, deciding + 1)]
     report = verify_family(family, max_mn)
     assert report.ok and report.checked == max_mn * max_mn
-    assert rows == list(range(1, min(max_mn, DECIDING_ROWS[family]) + 1))
+    assert rows == square
 
     # T + 1 breaks the rule at (1, 1): 2 u(1) against u(1)^2 + u(0)^2
     rows.clear()
@@ -321,7 +325,37 @@ def test_a_passing_grid_checks_only_its_deciding_rows(monkeypatch, family, max_m
     monkeypatch.setitem(seqengine.FAMILY_PIECES, family, shifted)
     report = verify_family(family, max_mn)
     assert not report.ok and report.failures[0].m == report.failures[0].n == 1
-    assert rows == list(range(1, max_mn + 1))
+    whole = [(m, max_mn) for m in range(1, max_mn + 1)] if deciding < max_mn else []
+    assert rows == square + whole
+
+
+# the square decides every cell, so a pass at N = 10^6 holds no list of length N;
+# each family peaked near 0.75 KiB
+PASS_PEAK_BOUND = 4 * 1024
+
+
+@pytest.mark.parametrize("family", list(FamilyId))
+def test_a_passing_grid_holds_no_list_of_length_n(family):
+    tracemalloc.start()
+    try:
+        report = verify_family(family, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.checked == 10**12
+    assert peak < PASS_PEAK_BOUND
+
+
+@pytest.mark.parametrize("family", list(FamilyId))
+def test_verify_family_refuses_a_float_bound(monkeypatch, family):
+    # refused before any work: a passing square alone would accept 40.0, and only a
+    # failing one reaches the lists of length N + 1
+    for shift in (0, 2):
+        pieces = tuple((c + shift, b, a) for c, b, a in seqengine.FAMILY_PIECES[family])
+        monkeypatch.setitem(seqengine.FAMILY_PIECES, family, pieces)
+        for bound in (40.0, 1.0):
+            with pytest.raises(TypeError):
+                verify_family(family, bound)
 
 
 # 360,001 `Fraction`s alone take about 30 MiB under tracemalloc; the
