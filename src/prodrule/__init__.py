@@ -41,6 +41,7 @@ from .veritool import (
     crosscheck_specialization,
     scan_candidate,
     verify_family,
+    verify_pieces,
 )
 
 __version__ = "0.1.0"
@@ -74,4 +75,5 @@ __all__ = [
     "scan_candidate",
     "solve_c",
     "verify_family",
+    "verify_pieces",
 ]

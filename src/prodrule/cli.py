@@ -34,7 +34,7 @@ from .classifier import DEFAULT_PROBES, ConstraintRecord, WeakProbesError, solve
 from .seqengine import DEFAULT_MAX_INDEX, FamilyId, SymbolicTable, derive_d, doubled_values, walk_value
 from .veritool import verify_family
 
-MAX_CAP = 10**6   # the largest verify --max and table --max: table and a failing verify allocate O(N) lists
+MAX_CAP = 10**6   # verify and table --max cap: table holds O(N) lists; verify 16 cells, a failing grid N <= 500
 
 
 class UsageError(Exception):

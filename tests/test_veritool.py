@@ -17,6 +17,7 @@ from prodrule.veritool import (
     crosscheck_specialization,
     scan_candidate,
     verify_family,
+    verify_pieces,
 )
 
 
@@ -52,12 +53,7 @@ def _corrupted(family, k, bad_u):
     return lambda n: bad_u if n == k else u(n)
 
 
-def _inject(mp, family, max_mn, u):
-    """Make u the family's data, as constant pieces exact on every index of an N x N grid."""
-    mp.setitem(seqengine.FAMILY_PIECES, family, ref.constant_pieces(u, max_mn * max_mn))
-
-
-def _reference_verify(family, max_mn, u):
+def _reference_verify(max_mn, u):
     """The former verifier: a table of N^2 + 1 `Fraction`s, then the grid."""
     values = [Fraction(u(k), 2) for k in range(max_mn * max_mn + 1)]
     doubled = []
@@ -76,7 +72,7 @@ def _reference_verify(family, max_mn, u):
                 rhs = values[m] * values[n] + values[m - 1] * values[n - 1]
                 failures.append(CheckFailure(m, n, values[mn], rhs))
     return VerifyReport(
-        subject=f"family:{family.value}",
+        subject="pieces",
         range=max_mn,
         checked=max_mn * max_mn,
         failures=failures,
@@ -94,13 +90,10 @@ def _reference_verify(family, max_mn, u):
         (FamilyId.HALF, 1, 3),
     ],
 )
-def test_a_corrupted_family_fails_exactly_where_the_rule_breaks(
-    monkeypatch, family, k, bad_u
-):
+def test_a_corrupted_family_fails_exactly_where_the_rule_breaks(family, k, bad_u):
     grid = 30
     u = _corrupted(family, k, bad_u)
-    _inject(monkeypatch, family, grid, u)
-    report = verify_family(family, grid)
+    report = verify_pieces(ref.constant_pieces(u, grid * grid), grid, "pieces")
 
     def t(n):
         return Fraction(u(n), 2)
@@ -127,22 +120,21 @@ def test_a_corrupted_family_fails_exactly_where_the_rule_breaks(
         pytest.param(FamilyId.TRIANGULAR, 0, (0, 3, 1), id="triangular"),
     ],
 )
-def test_a_corrupted_piece_fails_past_the_deciding_rows(monkeypatch, family, r, piece):
+def test_a_corrupted_piece_fails_past_the_deciding_rows(family, r, piece):
     # one piece changed within the family's own period M keeps M and delta, so rows
     # and columns past M (delta + 1) are checked only because the deciding square failed
     grid = 30
     pieces = list(seqengine.FAMILY_PIECES[family])
     pieces[r] = piece
-    monkeypatch.setitem(seqengine.FAMILY_PIECES, family, tuple(pieces))
 
     def u(n):
         c, b, a = pieces[n % len(pieces)]
         return c + b * n + a * n * n
 
-    want = _reference_verify(family, grid, u)
+    want = _reference_verify(grid, u)
     assert max(f.m for f in want.failures) > DECIDING_ROWS[family]
     assert max(f.n for f in want.failures) > DECIDING_ROWS[family]
-    assert verify_family(family, grid).failures == want.failures
+    assert verify_pieces(tuple(pieces), grid, "pieces").failures == want.failures
 
 
 @settings(max_examples=60, deadline=None)
@@ -155,10 +147,8 @@ def test_streaming_verify_matches_the_fraction_table(family, max_mn, data):
     k = data.draw(st.integers(0, max_mn * max_mn), label="k")
     bad_u = data.draw(st.integers(-10**6, 10**6), label="bad_u")
     u = _corrupted(family, k, bad_u)
-    with pytest.MonkeyPatch.context() as mp:
-        _inject(mp, family, max_mn, u)
-        report = verify_family(family, max_mn)
-    want = _reference_verify(family, max_mn, u)
+    report = verify_pieces(ref.constant_pieces(u, max_mn * max_mn), max_mn, "pieces")
+    want = _reference_verify(max_mn, u)
     assert report.to_dict() == want.to_dict()
     assert report.failures == want.failures
 
@@ -192,10 +182,8 @@ def test_streaming_verify_matches_the_fraction_table_on_two_corruptions(case):
     def u(n):
         return bad.get(n, base(n))
 
-    with pytest.MonkeyPatch.context() as mp:
-        _inject(mp, family, max_mn, u)
-        report = verify_family(family, max_mn)
-    want = _reference_verify(family, max_mn, u)
+    report = verify_pieces(ref.constant_pieces(u, max_mn * max_mn), max_mn, "pieces")
+    want = _reference_verify(max_mn, u)
     assert report.to_dict() == want.to_dict()
     assert report.failures == want.failures
 
@@ -228,21 +216,17 @@ _coefficients = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6), st.sam
 @example(pieces=((0, 0, 0), (2, 0, 0)), max_mn=2)
 @example(pieces=((0, 0, 0), (2, 0, 0)), max_mn=5)
 def test_class_decision_matches_the_fraction_table_on_random_pieces(pieces, max_mn):
-    family = FamilyId.TRIANGULAR
-
     def u(n):
         c, b, a = pieces[n % len(pieces)]
         return c + b * n + a * n * n
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(seqengine.FAMILY_PIECES, family, pieces)
-        report = verify_family(family, max_mn)
-    want = _reference_verify(family, max_mn, u)
+    report = verify_pieces(pieces, max_mn, "pieces")
+    want = _reference_verify(max_mn, u)
     assert report.to_dict() == want.to_dict()
     assert report.failures == want.failures
 
 
-def _int_verify(family, max_mn, pieces):
+def _int_verify(max_mn, pieces, subject="pieces"):
     """Every cell of the grid in ints, from the pieces themselves; `Fraction` sides only for a failure."""
     def value(k):
         c, b, a = pieces[k % len(pieces)]
@@ -255,14 +239,13 @@ def _int_verify(family, max_mn, pieces):
             left, right = 2 * u[m * n], u[m] * u[n] + u[m - 1] * u[n - 1]
             if left != right:
                 failures.append(CheckFailure(m, n, Fraction(left, 4), Fraction(right, 4)))
-    return VerifyReport(subject=f"family:{family.value}", range=max_mn, checked=max_mn * max_mn,
-                        failures=failures)
+    return VerifyReport(subject=subject, range=max_mn, checked=max_mn * max_mn, failures=failures)
 
 
 @pytest.mark.parametrize("family", list(FamilyId))
 def test_verify_family_matches_the_integer_brute_force(family):
     # N = 120 leaves every class many rows beyond the deciding ones
-    want = _int_verify(family, 120, seqengine.FAMILY_PIECES[family])
+    want = _int_verify(120, seqengine.FAMILY_PIECES[family], f"family:{family.value}")
     assert want.ok
     assert verify_family(family, 120).to_dict() == want.to_dict()
 
@@ -285,11 +268,8 @@ def _periodic_pieces(draw):
 @example(pieces=((0, 1, 1),) * 6)
 @example(pieces=((0, 1, 0), (1, 1, 0), (0, 1, 0), (1, 1, 0), (0, 1, 0), (1, 2, 0)))
 def test_verify_family_matches_the_integer_brute_force_on_random_pieces(pieces):
-    family = FamilyId.TRIANGULAR
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(seqengine.FAMILY_PIECES, family, pieces)
-        report = verify_family(family, 120)
-    want = _int_verify(family, 120, pieces)
+    report = verify_pieces(pieces, 120, "pieces")
+    want = _int_verify(120, pieces)
     assert (report.subject, report.range, report.checked) == (want.subject, want.range, want.checked)
     assert report.failures == want.failures
 
@@ -307,25 +287,31 @@ DECIDING_ROWS = {
 @pytest.mark.parametrize("max_mn", [1, 2, 3, 5, 7, 40])
 @pytest.mark.parametrize("family", list(FamilyId))
 def test_a_passing_grid_checks_only_its_deciding_rows(monkeypatch, family, max_mn):
-    # a passing grid builds rows 1..d over n <= d, d = min(N, M (delta + 1));
-    # a failing one builds that square, then, if d < N, rows 1..N over n <= N
-    rows = []
+    # a passing grid builds u(0..d) and rows 1..d over n <= d, d = min(N, M (delta + 1));
+    # a failing one builds that square, then, if d < N, u(0..N) and rows 1..N over n <= N
+    sides, rows = [], []
     values = seqengine._piece_values
-    monkeypatch.setattr(veritool, "_piece_values",
-                        lambda pieces, top, step=1: rows.append((step, top)) or values(pieces, top, step))
+
+    def spy(pieces, top, *step):   # u(0..top) is built with no step, row m with step m
+        (rows if step else sides).append((*step, top))
+        return values(pieces, top, *step)
+
+    monkeypatch.setattr(veritool, "_piece_values", spy)
     deciding = min(max_mn, DECIDING_ROWS[family])
     square = [(m, deciding) for m in range(1, deciding + 1)]
     report = verify_family(family, max_mn)
     assert report.ok and report.checked == max_mn * max_mn
+    assert sides == [(deciding,)]
     assert rows == square
 
     # T + 1 breaks the rule at (1, 1): 2 u(1) against u(1)^2 + u(0)^2
+    sides.clear()
     rows.clear()
     shifted = tuple((c + 2, b, a) for c, b, a in seqengine.FAMILY_PIECES[family])
-    monkeypatch.setitem(seqengine.FAMILY_PIECES, family, shifted)
-    report = verify_family(family, max_mn)
+    report = verify_pieces(shifted, max_mn, "shifted")
     assert not report.ok and report.failures[0].m == report.failures[0].n == 1
     whole = [(m, max_mn) for m in range(1, max_mn + 1)] if deciding < max_mn else []
+    assert sides == ([(deciding,), (max_mn,)] if whole else [(deciding,)])
     assert rows == square + whole
 
 
@@ -347,31 +333,87 @@ def test_a_passing_grid_holds_no_list_of_length_n(family):
 
 
 @pytest.mark.parametrize("family", list(FamilyId))
-def test_verify_family_refuses_a_float_bound(monkeypatch, family):
+def test_verify_family_refuses_a_float_bound(family):
     # refused before any work: a passing square alone would accept 40.0, and only a
     # failing one reaches the lists of length N + 1
-    for shift in (0, 2):
-        pieces = tuple((c + shift, b, a) for c, b, a in seqengine.FAMILY_PIECES[family])
-        monkeypatch.setitem(seqengine.FAMILY_PIECES, family, pieces)
-        for bound in (40.0, 1.0):
-            with pytest.raises(TypeError):
-                verify_family(family, bound)
+    shifted = tuple((c + 2, b, a) for c, b, a in seqengine.FAMILY_PIECES[family])
+    for bound in (40.0, 1.0):
+        with pytest.raises(TypeError):
+            verify_family(family, bound)
+        with pytest.raises(TypeError):
+            verify_pieces(shifted, bound, "shifted")
 
 
-# 360,001 `Fraction`s alone take about 30 MiB under tracemalloc; the
-# streaming grid at N = 600 peaks near 0.1 MiB
-GRID_600_PEAK_BOUND = 512 * 1024
+@pytest.mark.parametrize(
+    "pieces",
+    [(), ((0, 1),), ((0.0, 1, 1),), ((Fraction(1, 2), 0, 0),)],
+    ids=["empty", "pair", "float", "fraction"],
+)
+def test_malformed_pieces_are_refused_before_any_work(monkeypatch, pieces):
+    # unchecked, the float triangular pieces pass and the constant 1/2 fails at (1, 1)
+    calls = []
+    values = seqengine._piece_values
+    monkeypatch.setattr(veritool, "_piece_values", lambda *args: calls.append(args) or values(*args))
+    for max_mn in (1, 40):
+        with pytest.raises((TypeError, ValueError)):
+            verify_pieces(pieces, max_mn, "pieces")
+    assert calls == []
 
 
-def test_grid_memory_is_linear_in_n():
+# a refusal holds the square's few failures and two int copies of the pieces, which
+# peaked at 3.9-4.6 KiB for one piece and near 120 B a piece for 200 and 501
+REFUSAL_PEAK_BOUND = 16 * 1024
+REFUSAL_PIECE_BYTES = 160
+
+
+@pytest.mark.parametrize(
+    "pieces, max_mn",
+    [
+        pytest.param(((2, 1, 1),), veritool.MAX_FULL_GRID + 1, id="square-fails-past-the-bound"),
+        pytest.param(((2, 1, 1),), 10**6, id="square-fails-at-the-cap"),
+        pytest.param(((0, 0, 0),) * (veritool.MAX_FULL_GRID + 1), 10**6, id="period-past-the-bound"),
+        pytest.param(((0, 1, 1),) * 200, 10**6, id="period-and-degree-past-the-bound"),
+    ],
+)
+def test_a_grid_past_the_bound_is_refused_before_its_rows(monkeypatch, pieces, max_mn):
+    # T + 1 fails its 3 x 3 square, so N comes next; 501 or 200 classes of degree 2
+    # make the square itself 501 or 600 on a side
+    tops = []
+    values = seqengine._piece_values
+    monkeypatch.setattr(veritool, "_piece_values",
+                        lambda p, top, *step: tops.append(top) or values(p, top, *step))
     tracemalloc.start()
     try:
-        report = verify_family(FamilyId.TRIANGULAR, 600)
+        with pytest.raises(ValueError, match="MAX_FULL_GRID"):
+            verify_pieces(pieces, max_mn, "pieces")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert report.ok and report.checked == 360_000
-    assert peak < GRID_600_PEAK_BOUND
+    assert max(tops, default=0) <= veritool.MAX_FULL_GRID
+    assert peak < REFUSAL_PEAK_BOUND + REFUSAL_PIECE_BYTES * len(pieces)
+
+
+# a failing grid holds O(N) rows, at most 64 B a column, and its failures: a
+# `CheckFailure` and two `Fraction`s took 230-290 B each under tracemalloc
+ROW_BYTES = 64
+FAILURE_BYTES = 320
+
+
+def test_a_failing_grid_holds_its_rows_and_its_failures():
+    # the zero sequence of period 101 with T = 1 on the class of 1 fails where mn, or m
+    # and n, or m - 1 and n - 1 fall in that class: 2,461 of the 250,000 cells at
+    # N = 500, a 0.57 MiB peak, 1.4 s under tracemalloc and 0.2 s without it
+    pieces = ((0, 0, 0), (2, 0, 0)) + ((0, 0, 0),) * 99
+    grid = veritool.MAX_FULL_GRID
+    tracemalloc.start()
+    try:
+        report = verify_pieces(pieces, grid, "pieces")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not report.ok and report.checked == grid * grid
+    assert len(report.failures) < grid * grid // 50
+    assert peak < ROW_BYTES * grid + FAILURE_BYTES * len(report.failures)
 
 
 def test_crosscheck_specialization_at_resolved_points(table):
