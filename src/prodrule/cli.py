@@ -13,44 +13,45 @@ failed checks or probes that constrain nothing, 2 usage errors, an
 stdout is closed before the output is written, as in
 `prodrule table ... | head -1`.
 
-`run` builds the argparse parser on its first call and reuses it for
-every later call in the process; `build_parser` still returns a fresh
-one.  Parsing reads the parser and never changes it (argparse as of
-Python 3.11), and every option default is immutable, so no value carries
-over from one call to the next and threads may share the parser.
+`_COMMANDS` also maps each command's options, besides the shared
+`--format` and `--out`, to a converter, a default or `REQUIRED`, and a
+help string; `parse_args` reads argv against it by the rules of the
+standard library's parser that `tests/cli_reference.py` keeps: `--opt
+value` or `--opt=value`, the last value of a repeated option, unambiguous
+prefixes, and `-h`/`--help`.  Every refusal prints one `error:` line.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
+import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from types import SimpleNamespace
 
 from .classifier import DEFAULT_PROBES, ConstraintRecord, WeakProbesError, solve_c
 from .seqengine import DEFAULT_MAX_INDEX, FamilyId, SymbolicTable, derive_d, doubled_values, walk_value
 from .veritool import verify_family
 
 MAX_CAP = 10**6   # verify and table --max cap: table holds O(N) lists; verify 16 cells, a failing grid N <= 500
+REQUIRED = object()   # the default of an option that argv must give
 
 
 class UsageError(Exception):
-    """Bad argument combination detected after parsing."""
+    """Bad arguments: exit 2 with one `error:` line."""
+
+
+class _Help(Exception):
+    """-h or --help was read; the message is the help text."""
 
 
 def _rational_arg(text: str) -> Fraction:
-    try:
-        if "/" in text:
-            num, _, den = text.partition("/")
-            if int(den) == 0:
-                raise argparse.ArgumentTypeError("denominator must be nonzero")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+    num, slash, den = text.partition("/")
+    if slash and int(den) == 0:
+        raise ValueError("denominator must be nonzero")
+    return Fraction(int(num), int(den) if slash else 1)
 
 
 def _pairs_arg(text: str) -> tuple[tuple[int, int], ...]:
@@ -60,152 +61,56 @@ def _pairs_arg(text: str) -> tuple[tuple[int, int], ...]:
             m, _, n = chunk.partition(",")
             pairs.append((int(m), int(n)))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(
+        raise ValueError(
             f"expected pairs like 3,3;3,5 and got {text!r}"
         ) from exc
     for m, n in pairs:
         if m < 2 or n < 2:
-            raise argparse.ArgumentTypeError(f"pair ({m}, {n}) needs both indices >= 2")
+            raise ValueError(f"pair ({m}, {n}) needs both indices >= 2")
     return tuple(pairs)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+def _int_arg(low: int, cap: int | None = None):
+    """A converter to an int >= low; an int past cap is a `--max` refused before any allocation."""
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be at least {low}")
+        if cap is not None and value > cap:
+            raise UsageError(f"--max {value} is beyond the cap {cap}")
+        return value
+    return convert
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
+def _choice(*names: str):
+    def convert(text: str) -> str:
+        if text not in names:
+            raise ValueError(f"invalid choice {text!r}, choose from {', '.join(names)}")
+        return text
+    return convert
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="prodrule",
-        description="Exact verifier and classifier for sequences satisfying "
-        "T(mn) = T(m)T(n) + T(m-1)T(n-1).",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format on stdout (default text)",
-    )
-    common.add_argument(
-        "--out",
-        metavar="PATH",
-        default=None,
-        help="also write the JSON document to PATH",
-    )
-
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    sub.add_parser(
-        "derive-d",
-        parents=[common],
-        help="print T(3) as a function of c",
-    )
-
-    p_classify = sub.add_parser(
-        "classify",
-        parents=[common],
-        help="run the full classification and print the report",
-    )
-    p_classify.add_argument(
-        "--probes",
-        type=_pairs_arg,
-        default=DEFAULT_PROBES,
-        metavar="m,n;m,n",
-        help="product-rule instances to probe (default 3,3;3,5)",
-    )
-    p_classify.add_argument(
-        "--range",
-        type=_positive_int,
-        default=DEFAULT_MAX_INDEX,
-        metavar="K",
-        help=f"largest index the symbolic engine may compute (default {DEFAULT_MAX_INDEX})",
-    )
-
-    p_verify = sub.add_parser(
-        "verify",
-        parents=[common],
-        help="exhaustively check a family on the square grid",
-    )
-    p_verify.add_argument(
-        "--family",
-        required=True,
-        choices=[fam.value for fam in FamilyId] + ["all"],
-        help="family to check, or all five",
-    )
-    p_verify.add_argument(
-        "--max",
-        type=_positive_int,
-        required=True,
-        metavar="N",
-        help="grid bound N <= 10^6: every 1 <= m, n <= N is checked, the square m, n <= M (delta + 1) deciding "
-        "the rest, and all N rows only if it fails (five families pass as a process in 0.12 s and 16 MiB at any N)",
-    )
-
-    p_eval = sub.add_parser(
-        "eval",
-        parents=[common],
-        help="evaluate the symbolic T(n) at a rational c",
-    )
-    p_eval.add_argument("--c", type=_rational_arg, required=True, help="value of c, as p/q or an integer")
-    p_eval.add_argument("--n", type=_nonnegative_int, required=True, help="sequence index below 10^4300; one "
-                        "walk over its bits, with no table, takes at most about 0.3 s for any --c and --n "
-                        "(exit 2 when its ints would pass 2^16 bits or T(n) has more than 4300 digits)")
-
-    p_table = sub.add_parser(
-        "table",
-        parents=[common],
-        help="print n, T(n) rows for one closed-form family",
-    )
-    p_table.add_argument("--family", required=True, choices=[fam.value for fam in FamilyId])
-    p_table.add_argument("--max", type=_nonnegative_int, required=True, metavar="N",
-                         help="last index, at most 10^6 (as a process: 3.9 s, 245 MiB; 4.4-6.1 s, 382 MiB in json)")
-
-    p_constraints = sub.add_parser(
-        "constraints",
-        parents=[common],
-        help="print probe constraint numerators in factor-extracted form",
-    )
-    p_constraints.add_argument(
-        "--pairs",
-        type=_pairs_arg,
-        default=DEFAULT_PROBES,
-        metavar="m,n;m,n",
-        help="probe instances (default 3,3;3,5)",
-    )
-
-    return parser
+# a command returns its exit code, its JSON document and a failure's stderr line or None
+def _cmd_derive_d(args) -> tuple[int, dict, str | None]:
+    """Print T(3) as a function of c."""
+    return 0, {"d": str(derive_d())}, None
 
 
-# a command returns its exit code and its JSON document
-def _cmd_derive_d(args) -> tuple[int, dict]:
-    return 0, {"d": str(derive_d())}
-
-
-def _cmd_classify(args) -> tuple[int, dict]:
+def _cmd_classify(args) -> tuple[int, dict, str | None]:
+    """Run the full classification and print the report."""
     for m, n in args.probes:
         if m * n > args.range:
             raise UsageError(
                 f"probe ({m}, {n}) needs index {m * n}, beyond --range {args.range}"
             )
     report = solve_c(args.probes, SymbolicTable(args.range))
-    code = 0 if report.all_checks_pass else 1
-    if code:
-        print("error: the probes do not certify the classification; see the failed checks",
-              file=sys.stderr)
-    return code, report.to_dict()
+    if report.all_checks_pass:
+        return 0, report.to_dict(), None
+    return 1, report.to_dict(), "the probes do not certify the classification; see the failed checks"
 
 
-def _cmd_verify(args) -> tuple[int, dict]:
+def _cmd_verify(args) -> tuple[int, dict, str | None]:
+    """Check a family exhaustively on the square grid."""
     families = list(FamilyId) if args.family == "all" else [FamilyId(args.family)]
     reports = []
     code = 0
@@ -216,29 +121,32 @@ def _cmd_verify(args) -> tuple[int, dict]:
             code = 1
             if args.format == "text":
                 break  # fail fast; json mode always aggregates all families
-    return code, reports[0] if len(reports) == 1 else {"reports": reports}
+    return code, reports[0] if len(reports) == 1 else {"reports": reports}, None
 
 
-def _cmd_eval(args) -> tuple[int, dict]:
+def _cmd_eval(args) -> tuple[int, dict, str | None]:
+    """Evaluate the symbolic T(n) at a rational c."""
     try:
-        return 0, {"c": str(args.c), "n": args.n, "value": str(walk_value(args.n, args.c))}
+        return 0, {"c": str(args.c), "n": args.n, "value": str(walk_value(args.n, args.c))}, None
     except ValueError as exc:   # the walk's size bound, or more digits than Python prints
         raise UsageError(f"T(n) is out of reach: {exc}")
 
 
-def _cmd_table(args) -> tuple[int, dict]:
+def _cmd_table(args) -> tuple[int, dict, str | None]:
+    """Print n, T(n) rows for one closed-form family."""
     family = FamilyId(args.family)
     rows = [[n, str(Fraction(u, 2))] for n, u in enumerate(doubled_values(family, args.max))]
-    return 0, {"family": family.value, "max": args.max, "rows": rows}
+    return 0, {"family": family.value, "max": args.max, "rows": rows}, None
 
 
-def _cmd_constraints(args) -> tuple[int, dict]:
+def _cmd_constraints(args) -> tuple[int, dict, str | None]:
+    """Print probe constraint numerators in factor-extracted form."""
     for m, n in args.pairs:
         if m * n > DEFAULT_MAX_INDEX:
             raise UsageError(f"pair ({m}, {n}) needs index {m * n}, beyond {DEFAULT_MAX_INDEX}")
     table = SymbolicTable()
     records = [ConstraintRecord.probe(m, n, table) for m, n in args.pairs]
-    return 0, {"constraints": [rec.to_dict() for rec in records]}
+    return 0, {"constraints": [rec.to_dict() for rec in records]}, None
 
 
 def _constraint_lines(rec: dict) -> list[str]:
@@ -278,19 +186,116 @@ def _verify_lines(doc: dict) -> list[str]:
     return lines
 
 
-# each command's handler and the text view of its document, one item per output line
+_FAMILY_NAMES = tuple(fam.value for fam in FamilyId)
+# each command's handler (its docstring is its help line), the text view of its document,
+# one item per output line, and its options: name -> (converter, default or REQUIRED, help)
 _COMMANDS = {
-    "derive-d": (_cmd_derive_d, lambda doc: [doc["d"]]),
-    "classify": (_cmd_classify, _classify_lines),
-    "verify": (_cmd_verify, _verify_lines),
-    "eval": (_cmd_eval, lambda doc: [doc["value"]]),
-    "table": (_cmd_table, lambda doc: (f"{n}\t{v}" for n, v in doc["rows"])),
-    "constraints": (_cmd_constraints, lambda doc: [
-        line for rec in doc["constraints"] for line in _constraint_lines(rec)
-    ]),
+    "derive-d": (_cmd_derive_d, lambda doc: [doc["d"]], {}),
+    "classify": (_cmd_classify, _classify_lines, {
+        "--probes": (_pairs_arg, DEFAULT_PROBES, "product-rule instances m,n;m,n to probe (default 3,3;3,5)"),
+        "--range": (_int_arg(1), DEFAULT_MAX_INDEX, f"largest index to compute (default {DEFAULT_MAX_INDEX})"),
+    }),
+    "verify": (_cmd_verify, _verify_lines, {
+        "--family": (_choice(*_FAMILY_NAMES, "all"), REQUIRED, f"one of {', '.join(_FAMILY_NAMES)}, or all"),
+        "--max": (_int_arg(1, MAX_CAP), REQUIRED, "grid bound N, at most 10^6: every 1 <= m, n <= N is checked"),
+    }),
+    "eval": (_cmd_eval, lambda doc: [doc["value"]], {
+        "--c": (_rational_arg, REQUIRED, "value of c, as p/q or an integer; write a negative c as --c=-7/5"),
+        "--n": (_int_arg(0), REQUIRED, "sequence index, below 10^4300"),
+    }),
+    "table": (_cmd_table, lambda doc: (f"{n}\t{v}" for n, v in doc["rows"]), {
+        "--family": (_choice(*_FAMILY_NAMES), REQUIRED, f"one of {', '.join(_FAMILY_NAMES)}"),
+        "--max": (_int_arg(0, MAX_CAP), REQUIRED, "last index N, at most 10^6"),
+    }),
+    "constraints": (_cmd_constraints,
+                    lambda doc: [line for rec in doc["constraints"] for line in _constraint_lines(rec)],
+                    {"--pairs": (_pairs_arg, DEFAULT_PROBES, "probe instances m,n;m,n (default 3,3;3,5)")}),
 }
+_SHARED = {
+    "--format": (_choice("text", "json"), "text", "output format on stdout, text (default) or json"),
+    "--out": (str, None, "also write the JSON document to PATH"),
+}
+_HELP = {"-h": None, "--help": None}
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")   # the one kind of value that may start with -
 
-_shared_parser = functools.cache(build_parser)
+
+def _help_text(command: str | None) -> str:
+    if command is None:
+        head = ("usage: prodrule COMMAND [options]\n\nExact verifier and classifier for sequences "
+                "satisfying T(mn) = T(m)T(n) + T(m-1)T(n-1).\n\ncommands:")
+        rows = {name: handler.__doc__ for name, (handler, _, _) in _COMMANDS.items()}
+    else:
+        handler, _, options = _COMMANDS[command]
+        head = f"usage: prodrule {command} [options]\n\n{handler.__doc__}\n\noptions:"
+        rows = {name: text + " (required)" * (default is REQUIRED)
+                for name, (_, default, text) in {**options, **_SHARED}.items()}
+    return "\n".join([head, *(f"  {name:<13}{text}" for name, text in rows.items()), "  -h, --help   this help"])
+
+
+def _read(token: str, names) -> tuple[str | None, str | None] | None:
+    """None for a value, else (the option or None for an unknown one, the text after = or None)."""
+    if token[:1] != "-" or token == "-":
+        return None
+    head, eq, value = token.partition("=")
+    explicit = value if eq else None
+    if head in names:
+        return head, explicit
+    if token.startswith("--"):
+        hits = [name for name in names if name.startswith(head)]
+        if len(hits) > 1:
+            raise UsageError(f"ambiguous option: {token!r} could match {', '.join(hits)}")
+        if hits:
+            return hits[0], explicit
+    return None if _NEGATIVE_NUMBER.match(token) or " " in token else (None, None)
+
+
+def _help(name: str, explicit: str | None, command: str | None):
+    if explicit is None:
+        raise _Help(_help_text(command))
+    raise UsageError(f"argument {name}: takes no value")
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The command and each option's value, named without --, read off argv by `_COMMANDS`.
+
+    Raises `UsageError`, or `_Help` for -h or --help read before a refusal.  Every
+    token is read, and an ambiguous prefix refused, before any is acted on.
+    """
+    at = 0
+    while at < len(argv) and argv[at] != "--" and (reading := _read(argv[at], _HELP)):
+        if reading[0]:
+            _help(*reading, None)
+        at += 1
+    if at == len(argv) or argv[at] not in _COMMANDS:
+        raise UsageError(f"expected a command, one of {', '.join(_COMMANDS)}")
+    command, rest = argv[at], argv[at + 1:]
+    options = {**_SHARED, **_COMMANDS[command][2]}
+    values = {name: default for name, (_, default, _) in options.items()}
+    cut = rest.index("--") if "--" in rest else len(rest)   # every token from -- on is a stray value
+    extras = [*argv[:at], *rest[cut:]]
+    tokens = iter(zip(rest, [_read(token, {**_HELP, **options}) for token in rest[:cut]]))
+    for token, reading in tokens:
+        if not reading or not reading[0]:
+            extras.append(token)
+            continue
+        name, text = reading
+        if name in _HELP:
+            _help(name, text, command)
+        if text is None:
+            text, reading = next(tokens, ("", True))
+            if reading:
+                raise UsageError(f"argument {name}: expected one value")
+        try:
+            values[name] = options[name][0](text)
+        except ValueError as exc:
+            raise UsageError(f"argument {name}: {exc}") from None
+    missing = [name for name, value in values.items() if value is REQUIRED]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(map(repr, extras))}")
+    return SimpleNamespace(command=command, **{name[2:]: value for name, value in values.items()})
+
 
 _JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
 
@@ -325,13 +330,12 @@ def _json_text(value, indent: str = "") -> str:
 def run(argv=None) -> int:
     """Parse argv, execute one command, and return the exit code."""
     try:
-        args = _shared_parser().parse_args(argv)
-        if getattr(args, "max", 0) > MAX_CAP:   # verify and table, refused before any allocation
-            raise UsageError(f"--max {args.max} is beyond the cap {MAX_CAP}")
-        handler, text = _COMMANDS[args.command]
-        code, doc = handler(args)
-    except SystemExit as exc:   # argparse has printed its usage error, or the help
-        return int(exc.code or 0)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        handler, text, _ = _COMMANDS[args.command]
+        code, doc, note = handler(args)
+    except _Help as exc:
+        print(exc)
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -351,6 +355,8 @@ def run(argv=None) -> int:
     else:
         for line in text(doc):
             print(line)
+    if note:
+        print(f"error: {note}", file=sys.stderr)
     return code
 
 

@@ -138,17 +138,13 @@ def _piece_value(pieces: tuple[tuple[int, int, int], ...], n: int) -> int:
 
 
 def _piece_values(pieces: tuple[tuple[int, int, int], ...], top: int, step: int = 1) -> list[int]:
-    """u(0), u(step), ..., u(top step) of pieces, one comprehension per residue class of the index."""
+    """u(0), u(step), ..., u(top step) of pieces, in one comprehension that looks up each index's piece."""
     period = len(pieces)
-    out = [0] * (top + 1)
-    for r in range(min(period, top + 1)):
-        c, b, a = pieces[r * step % period]   # x = r (mod M) puts step x in class r step
-        out[r::period] = [c + (b + a * x) * x for x in range(r * step, top * step + 1, period * step)]
-    return out
+    return [c + (b + a * x) * x for x in range(0, top * step + 1, step) for c, b, a in (pieces[x % period],)]
 
 
 def doubled_values(family: FamilyId, top: int) -> list[int]:
-    """u(0), ..., u(top) of a family's pieces, one comprehension per class."""
+    """u(0), ..., u(top) of a family's pieces, one comprehension."""
     return _piece_values(family_pieces(family), top)
 
 

@@ -48,6 +48,7 @@ class Mutant(NamedTuple):
 _VT = "tests/test_veritool.py::"
 _SE = "tests/test_seqengine.py::"
 _CLI = "tests/test_cli.py::"
+_FZ = "tests/test_cli_fuzz.py::"
 
 MUTANTS = [
     # the grid's deciding square
@@ -105,9 +106,10 @@ MUTANTS = [
     ),
     Mutant(
         "src/prodrule/seqengine.py",
-        "c, b, a = pieces[r * step % period]",
-        "c, b, a = pieces[r % period]",
-        (_VT + "test_every_family_passes_a_small_grid[FamilyId.CEIL_HALF]",
+        "for c, b, a in (pieces[x % period],)]",
+        "for c, b, a in (pieces[x // step % period],)]",
+        (_SE + "test_piece_values_match_the_point_evaluator[2]",
+         _VT + "test_every_family_passes_a_small_grid[FamilyId.CEIL_HALF]",
          _VT + "test_every_family_passes_a_small_grid[FamilyId.PERIOD3]"),
         "u(m x) read from the class of x instead of the class of m x",
     ),
@@ -206,6 +208,33 @@ MUTANTS = [
         '\\"{key}\\": ',
         (_CLI + "test_the_writer_matches_json_dumps_on_any_document",),
         "dict keys quoted without escaping: golden keys are plain ASCII names, so only the differential test sees it",
+    ),
+    # the option parser
+    Mutant(
+        "src/prodrule/cli.py",
+        "    if missing:\n",
+        "    if False:\n",
+        (_CLI + "test_missing_required_arguments",
+         _CLI + "test_a_refusal_prints_one_error_line[required]",
+         _FZ + "test_the_table_parser_reads_argv_as_the_reference_does"),
+        "the REQUIRED check dropped: a missing option reaches its command as the sentinel",
+    ),
+    Mutant(
+        "src/prodrule/cli.py",
+        "        if text not in names:\n",
+        "        if False:\n",
+        (_CLI + "test_a_refusal_prints_one_error_line[format-choice]",
+         _CLI + "test_a_refusal_prints_one_error_line[family-choice]",
+         _FZ + "test_the_table_parser_reads_argv_as_the_reference_does"),
+        "the choice check dropped: --format xml prints text, --family triangle raises",
+    ),
+    Mutant(
+        "src/prodrule/cli.py",
+        "values[name] = options[name][0](text)\n",
+        "values[name] = options[name][0](text) if values[name] is options[name][1] else values[name]\n",
+        (_CLI + "test_options_take_prefixes_equals_forms_and_the_last_repeated_value",
+         _FZ + "test_the_table_parser_reads_argv_as_the_reference_does"),
+        "the first of two repeated values kept instead of the last",
     ),
     # the halving fill
     Mutant(

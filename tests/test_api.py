@@ -62,7 +62,7 @@ RETIRED = {
     "seqengine": {"BivariateTable", "_HalvingTable", "d_of_c", "_C2", "_D_MINUS_C2", "_D_POWERS", "_scales",
                   "_value", "residual", "residual_numerator_at", "doubled_form"},
     "veritool": {"_powers", "_scales"},
-    "cli": {"_TEXT", "_FAMILIES"},
+    "cli": {"_TEXT", "_FAMILIES", "build_parser", "_shared_parser"},
 }
 
 

@@ -179,8 +179,8 @@ def _twin(argv):
 
 @pytest.mark.parametrize("case", list(GOLDEN) + ["table --family ceilhalf --max 30 --format json"])
 def test_the_writer_matches_json_dumps_on_every_command_document(monkeypatch, case):
-    args = cli.build_parser().parse_args(_golden_argv(case, monkeypatch))
-    _, doc = cli._COMMANDS[args.command][0](args)
+    args = cli.parse_args(_golden_argv(case, monkeypatch))
+    _, doc, _ = cli._COMMANDS[args.command][0](args)
     assert cli._json_text(doc) == json.dumps(doc, indent=2)
 
 
@@ -219,8 +219,8 @@ def test_only_the_printed_output_is_rendered(capsys, monkeypatch, case):
         with monkeypatch.context() as patch:
             patch.setattr(Poly, "to_str", lambda poly: polys.append(poly) or render(poly))
             if "json" in call:
-                patch.setattr(cli, "_COMMANDS", {name: (handler, refuse)
-                                                 for name, (handler, _) in cli._COMMANDS.items()})
+                patch.setattr(cli, "_COMMANDS", {name: (handler, refuse, options)
+                                                 for name, (handler, _, options) in cli._COMMANDS.items()})
             assert run(call) == GOLDEN[case]["exit"]
         if call is argv:
             assert capsys.readouterr().out == GOLDEN[case]["stdout"]
@@ -416,6 +416,55 @@ def test_text_and_json_agree(capsys):
     assert doc["value"] == text_value
 
 
+REFUSALS = {
+    "below-the-least": ("verify --family triangular --max 0", "argument --max: must be at least 1"),
+    "format-choice": ("verify --family triangular --max 3 --format xml",
+                      "argument --format: invalid choice 'xml', choose from text, json"),
+    "family-choice": ("verify --family triangle --max 3", "argument --family: invalid choice 'triangle', "
+                      "choose from zero, half, ceilhalf, period3, triangular, all"),
+    "ambiguous-prefix": ("verify --f zero --max 3", "ambiguous option: '--f' could match --format, --family"),
+    "dash-value": ("eval --c -7/5 --n 3", "argument --c: expected one value"),
+    "required": ("table --family zero", "the following arguments are required: --max"),
+    "stray-value": ("table --family zero --max 3 4", "unrecognized arguments: '4'"),
+    "help-value": ("derive-d --help=x", "argument --help: takes no value"),
+    "command": ("frobnicate", "expected a command, one of derive-d, classify, verify, eval, table, constraints"),
+    # the former parser stored [] for a value written =--, and `run` raised TypeError on it
+    "equals-dashes": ("verify --family zero --max=--",
+                      "argument --max: invalid literal for int() with base 10: '--'"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_a_refusal_prints_one_error_line(capsys, case):
+    argv, err = REFUSALS[case]
+    assert run(argv.split()) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+def test_a_failing_classify_with_an_unwritable_out_prints_one_line(capsys, tmp_path):
+    # the note on the failed checks comes after the output, so a failed write replaces it
+    assert run(["classify", "--probes", "3,3", "--out", str(tmp_path / "missing" / "out.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot write --out: ") and err.count("\n") == 1
+
+
+def test_options_take_prefixes_equals_forms_and_the_last_repeated_value(capsys):
+    assert run(["table", "--fam=zero", "--max", "5", "--ma", "1"]) == 0
+    assert out_lines(capsys) == ["0\t0", "1\t0"]
+    assert run(["eval", "--c=-7/5", "--n", "2", "--c", "-1"]) == 0
+    assert out_lines(capsys) == ["-1"]
+
+
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_help_lists_the_table_and_exits_0(capsys, command):
+    for flag in ("-h", "--help", "--he"):
+        assert run([command, flag] if command else [flag]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out == cli._help_text(command) + "\n"
+        names = cli._COMMANDS[command][2] if command else cli._COMMANDS
+        assert all(f"\n  {name} " in out for name in names)
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert run(["frobnicate"]) == 2
 
@@ -425,8 +474,8 @@ def test_missing_required_arguments(capsys):
     assert run(["table", "--family", "zero"]) == 2
 
 
-# one process, one parser: calls of every kind interleaved, each checked
-# against its golden entry or against the same call through a fresh parser
+# one process, calls of every kind interleaved, each checked against its
+# golden entry and against the same call repeated after the whole sequence
 REUSE_SEQUENCE = (
     ("classify --probes 3,3;4,7 --format json", 1),
     ("classify", 0),
@@ -442,9 +491,8 @@ def _call(capsys, case):
     return code, capsys.readouterr().out
 
 
-def test_shared_parser_serves_interleaved_calls(capsys, monkeypatch):
+def test_interleaved_calls_carry_nothing_over(capsys):
     shared = [_call(capsys, case) for case, _ in REUSE_SEQUENCE]
-    assert cli._shared_parser() is cli._shared_parser()
     assert [code for code, _ in shared] == [code for _, code in REUSE_SEQUENCE]
     # the default probes and format do not leak from the call before
     default_classify = shared[1][1].splitlines()
@@ -455,16 +503,10 @@ def test_shared_parser_serves_interleaved_calls(capsys, monkeypatch):
     ]
     assert derive_d() is derive_d()
 
-    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
     for (case, _), got in zip(REUSE_SEQUENCE, shared):
         if case in GOLDEN:
             assert got == (GOLDEN[case]["exit"], GOLDEN[case]["stdout"]), case
         assert got == _call(capsys, case), case
-
-
-def test_build_parser_returns_a_fresh_parser():
-    assert cli.build_parser() is not cli.build_parser()
-    assert cli.build_parser() is not cli._shared_parser()
 
 
 def test_a_closed_stdout_exits_2_with_one_line():

@@ -259,6 +259,15 @@ def test_triangular_difference_is_index():
         assert t - family_value(FamilyId.TRIANGULAR, n - 1) == n
 
 
+@pytest.mark.parametrize("period", [1, 2, 3, 5])
+def test_piece_values_match_the_point_evaluator(period):
+    pieces = tuple((r - 2, 3 - r, r % 2) for r in range(period))
+    for top in (0, 1, period, 3 * period + 1, 100):
+        for step in (1, 2, 6, 7):
+            want = [seqengine._piece_value(pieces, x * step) for x in range(top + 1)]
+            assert seqengine._piece_values(pieces, top, step) == want, (top, step)
+
+
 def test_family_value_rejects_negative_index():
     with pytest.raises(ValueError):
         family_value(FamilyId.ZERO, -1)
