@@ -252,8 +252,9 @@ def solve_c(
             "component a power of 2, such as 3,3"
         )
 
-    shared = set.intersection(*({root for root, _ in rec.roots} for rec in live))
-    surviving = tuple(sorted(shared))
+    # on (numerator, denominator) int pairs, which hash in C; the first record's roots are sorted
+    shared = set.intersection(*({(root.numerator, root.denominator) for root, _ in rec.roots} for rec in live))
+    surviving = tuple(root for root, _ in live[0].roots if (root.numerator, root.denominator) in shared)
     family_map = {root: FAMILY_BY_C[root] for root in surviving if root in FAMILY_BY_C}
     complete = cofactor_gcd_check(constraints)
     # monic: reduce returns a lone cofactor as it is, without a poly_gcd call

@@ -142,9 +142,9 @@ def _cmd_table(args) -> tuple[int, dict, str | None]:
 def _cmd_constraints(args) -> tuple[int, dict, str | None]:
     """Print probe constraint numerators in factor-extracted form."""
     for m, n in args.pairs:
-        if m * n > DEFAULT_MAX_INDEX:
-            raise UsageError(f"pair ({m}, {n}) needs index {m * n}, beyond {DEFAULT_MAX_INDEX}")
-    table = SymbolicTable()
+        if m * n > args.range:
+            raise UsageError(f"pair ({m}, {n}) needs index {m * n}, beyond {args.range}")
+    table = SymbolicTable(args.range)
     records = [ConstraintRecord.probe(m, n, table) for m, n in args.pairs]
     return 0, {"constraints": [rec.to_dict() for rec in records]}, None
 
@@ -187,13 +187,14 @@ def _verify_lines(doc: dict) -> list[str]:
 
 
 _FAMILY_NAMES = tuple(fam.value for fam in FamilyId)
+_RANGE = (_int_arg(1), DEFAULT_MAX_INDEX, f"largest index to compute (default {DEFAULT_MAX_INDEX})")
 # each command's handler (its docstring is its help line), the text view of its document,
 # one item per output line, and its options: name -> (converter, default or REQUIRED, help)
 _COMMANDS = {
     "derive-d": (_cmd_derive_d, lambda doc: [doc["d"]], {}),
     "classify": (_cmd_classify, _classify_lines, {
         "--probes": (_pairs_arg, DEFAULT_PROBES, "product-rule instances m,n;m,n to probe (default 3,3;3,5)"),
-        "--range": (_int_arg(1), DEFAULT_MAX_INDEX, f"largest index to compute (default {DEFAULT_MAX_INDEX})"),
+        "--range": _RANGE,
     }),
     "verify": (_cmd_verify, _verify_lines, {
         "--family": (_choice(*_FAMILY_NAMES, "all"), REQUIRED, f"one of {', '.join(_FAMILY_NAMES)}, or all"),
@@ -209,7 +210,8 @@ _COMMANDS = {
     }),
     "constraints": (_cmd_constraints,
                     lambda doc: [line for rec in doc["constraints"] for line in _constraint_lines(rec)],
-                    {"--pairs": (_pairs_arg, DEFAULT_PROBES, "probe instances m,n;m,n (default 3,3;3,5)")}),
+                    {"--pairs": (_pairs_arg, DEFAULT_PROBES, "probe instances m,n;m,n (default 3,3;3,5)"),
+                     "--range": _RANGE}),
 }
 _SHARED = {
     "--format": (_choice("text", "json"), "text", "output format on stdout, text (default) or json"),
@@ -298,30 +300,42 @@ def parse_args(argv) -> SimpleNamespace:
 
 
 _JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
+_JSON_BASES = (str, list, dict, int)
 
 
-def _json_text(value, indent: str = "") -> str:
+def _json_text(value, indent: str = "", kind: type | None = None) -> str:
     """`json.dumps(value, indent=2)` for a document of dicts, lists, strs, ints, bools and None.
 
     `json` runs its pure-Python encoder whenever `indent` is set; this
     writer quotes every string with json's C `encode_basestring_ascii`
-    and lays the containers out by joins.  A float, or a dict key that
-    is not a str, raises TypeError: no command's document holds either.
+    and lays the containers out by joins.  It dispatches on the exact
+    type, or on `kind` when given, and quotes a str item in place; a
+    subclass is written as its base, as json writes it.  A float, or a
+    dict key that is not a str, raises TypeError: no command's document
+    holds either.
     """
-    if isinstance(value, str):
+    if kind is None:
+        kind = type(value)
+    if kind is str:
         return encode_basestring_ascii(value)
-    inner = indent + "  "
-    if isinstance(value, list):
-        brackets, items = "[]", [_json_text(item, inner) for item in value]
-    elif isinstance(value, dict):
-        brackets, items = "{}", [f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
-                                 for key, item in value.items()]
-    elif value is None or isinstance(value, bool):   # before int: a bool is an int
-        return _JSON_CONSTANTS[value]
-    elif isinstance(value, int):
+    if kind is int:
         return int.__repr__(value)
+    if kind is bool or value is None:
+        return _JSON_CONSTANTS[value]
+    inner = indent + "  "
+    if kind is list:
+        brackets, items = "[]", [
+            encode_basestring_ascii(item) if type(item) is str else _json_text(item, inner) for item in value]
+    elif kind is dict:
+        brackets, items = "{}", [
+            f"{encode_basestring_ascii(key)}: "
+            f"{encode_basestring_ascii(item) if type(item) is str else _json_text(item, inner)}"
+            for key, item in value.items()]
     else:
-        raise TypeError(f"a {type(value).__name__} has no place in a JSON document")
+        base = next((base for base in _JSON_BASES if isinstance(value, base)), None)
+        if base is None:
+            raise TypeError(f"a {type(value).__name__} has no place in a JSON document")
+        return _json_text(value, indent, base)
     if not items:
         return brackets
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"

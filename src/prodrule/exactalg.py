@@ -10,9 +10,10 @@ builds a `Fraction`, never a float.
 coefficient of the i-th power of the indeterminate (rendered as `c`),
 stored as given, so ints stay ints.  Trailing zero coefficients are
 stripped on construction, the zero polynomial stores no coefficients,
-and its degree is -1 by convention.  `+`, `-` and `*` run on the
-coefficient-tuple helpers `_add`, `_neg` and `_mul`, which `seqengine`
-shares for its integer tables.
+and its degree is -1 by convention; `Poly._from_ints` wraps, unchecked,
+a tuple of ints that an integer kernel built in that form.  `+`, `-` and
+`*` run on the coefficient-tuple helpers `_add`, `_neg` and `_mul`,
+which `seqengine` shares for its integer tables.
 
 `RatFunc` is a quotient of two `Poly` values kept in a unique canonical
 form: monic denominator, gcd(num, den) constant, zero stored as 0/1.
@@ -122,6 +123,13 @@ class Poly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Scalar, ...] = tuple(cs)
+
+    @classmethod
+    def _from_ints(cls, coeffs: tuple[int, ...]) -> "Poly":
+        """Wrap a tuple of ints with no trailing zero, as the integer kernels build them; nothing is checked."""
+        self = object.__new__(cls)
+        self.coeffs = coeffs
+        return self
 
     @property
     def degree(self) -> int:
@@ -346,17 +354,22 @@ def _divide_linear(ints: list[int], p: int, q: int) -> list[int] | None:
     return quo if ints[0] + carry == 0 else None
 
 
-def _split_roots(f: Poly) -> tuple[tuple[tuple[Fraction, int], ...], list[int]]:
-    """Rational roots of f with multiplicities, ascending, and the integer cofactor.
+def _split_roots(f: Poly) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """Rational roots of f as triples (p, q, mult) for p/q in lowest terms, ascending, and the integer cofactor.
 
     Denominators and content are cleared once.  Every candidate p/q in
     lowest terms, p dividing the constant term and q the leading
     coefficient, is divided out by `_divide_linear` as often as it
-    divides exactly; the cofactor is the last primitive quotient.  A
-    candidate is tried only when q - p divides f(1) and q + p divides
-    f(-1), as f = (q c - p) g forces over Z; for q = p or q = -p the
-    test reads f(1) = 0 or f(-1) = 0.  Both values are C-level sums,
-    taken again after each division that succeeds.
+    divides exactly; the cofactor is the last primitive quotient.  When
+    (q c - p) divides the current quotient g over Z, Gauss's lemma makes
+    p divide g's constant term and q its leading coefficient, q - p
+    divide g(1) and q + p divide g(-1); a candidate is tried only while
+    all four hold.  The quotient's ends shrink as roots come out, so
+    they prune the later candidates; for q = p or q = -p the last two
+    tests read g(1) = 0 or g(-1) = 0, C-level sums taken again after
+    each division that succeeds.  The roots come out in candidate order
+    and are sorted by the exact int key p (|lc|/q), which orders them as
+    p/q does, lc being the leading coefficient of the primitive f.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial vanishes everywhere")
@@ -365,8 +378,9 @@ def _split_roots(f: Poly) -> tuple[tuple[tuple[Fraction, int], ...], list[int]]:
     while not coeffs[zeros]:
         zeros += 1
     work = _primitive(coeffs[zeros:])
-    found = [(_ZERO, zeros)] if zeros else []
+    found = [(0, 1, zeros)] if zeros else []
     if len(work) > 1:
+        lead = abs(work[-1])   # the quotients' leading coefficients shrink: the sort key reads this one
         denominators = _divisors(work[-1])
         candidates = [
             (sign * p, q)
@@ -378,7 +392,8 @@ def _split_roots(f: Poly) -> tuple[tuple[tuple[Fraction, int], ...], list[int]]:
         at_one, at_minus_one = sum(work), sum(work[::2]) - sum(work[1::2])
         for p, q in candidates:
             mult = 0
-            while len(work) > 1 and _divides(q - p, at_one) and _divides(q + p, at_minus_one):
+            while (len(work) > 1 and not work[0] % p and not work[-1] % q
+                   and _divides(q - p, at_one) and _divides(q + p, at_minus_one)):
                 quo = _divide_linear(work, p, q)
                 if quo is None:
                     break
@@ -386,8 +401,9 @@ def _split_roots(f: Poly) -> tuple[tuple[tuple[Fraction, int], ...], list[int]]:
                 at_one, at_minus_one = sum(work), sum(work[::2]) - sum(work[1::2])
                 mult += 1
             if mult:
-                found.append((Fraction(p, q), mult))
-    return tuple(sorted(found)), work
+                found.append((p, q, mult))
+        found.sort(key=lambda root: root[0] * (lead // root[1]))
+    return found, work
 
 
 def _divides(d: int, n: int) -> bool:
@@ -404,7 +420,7 @@ def rational_roots(f: Poly) -> tuple[tuple[Fraction, int], ...]:
     become `Fraction`s.  Roots and multiplicities are those of the
     `Fraction` deflation over Q.
     """
-    return _split_roots(f)[0]
+    return extract_rational_factors(f)[0]
 
 
 def extract_rational_factors(f: Poly) -> tuple[tuple[tuple[Fraction, int], ...], Poly]:
@@ -417,10 +433,11 @@ def extract_rational_factors(f: Poly) -> tuple[tuple[tuple[Fraction, int], ...],
     that scale is integral, as for every integer f, the cofactor's
     coefficients are ints.
     """
-    roots, work = _split_roots(f)
+    found, work = _split_roots(f)
+    roots = tuple((Fraction(p, q), mult) for p, q, mult in found)
     scale = Fraction(f.leading, work[-1])
     if scale.denominator == 1:
-        scale = scale.numerator
+        return roots, Poly._from_ints(tuple(x * scale.numerator for x in work))
     return roots, Poly(x * scale for x in work)
 
 

@@ -4,6 +4,8 @@
 `cli._COMMANDS` and `cli.parse_args` replaced; the differential test in
 `tests/test_cli_fuzz.py` checks that both read argv alike.  The `--max`
 cap was checked after parsing then, so it is not part of this parser.
+`constraints --range`, added to the table later, is added here as the
+`classify --range` it copies.
 """
 
 import argparse
@@ -153,6 +155,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_PROBES,
         metavar="m,n;m,n",
         help="probe instances (default 3,3;3,5)",
+    )
+    p_constraints.add_argument(
+        "--range",
+        type=_positive_int,
+        default=DEFAULT_MAX_INDEX,
+        metavar="K",
+        help=f"largest index the symbolic engine may compute (default {DEFAULT_MAX_INDEX})",
     )
 
     return parser

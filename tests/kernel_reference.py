@@ -11,6 +11,8 @@ runs the halving identities with d free.  The point evaluator as it was,
 `_ints_at`, runs one homogenised Horner sum, `_homogeneous_eval`, per
 pair, and the specialisation checks as they were build one `Fraction`
 per value from it: the crosscheck at each index, the scan at each probe.
+The residual assembly as it was, `residual_sum`, adds schoolbook products
+by `_sum` where the engine now takes one packed big-int expression.
 """
 
 import math
@@ -19,7 +21,7 @@ from fractions import Fraction
 from functools import partial, reduce
 
 from prodrule.classifier import PERIOD3_NOTE
-from prodrule.exactalg import Poly, RatFunc, _divisors, exact_div
+from prodrule.exactalg import Poly, RatFunc, _divisors, _mul, _neg, exact_div
 from prodrule.seqengine import (
     DEFAULT_MAX_INDEX,
     SymbolicTable,
@@ -27,6 +29,7 @@ from prodrule.seqengine import (
     _point,
     _piece_value,
     _residual_pair,
+    _sum,
     family_pieces,
     family_value,
 )
@@ -356,3 +359,10 @@ def scan_candidate(c0, max_prod, table=None):
                 hits.append((m, n, value))
         m += 1
     return hits
+
+
+def residual_sum(m, n):
+    """T(mn) - T(m)T(n) - T(m-1)T(n-1) as the unreduced pair (P, E) the `_sum` of schoolbook products gives."""
+    (pm, em), (pn, en) = _fill(m), _fill(n)
+    (pm1, em1), (pn1, en1) = _fill(m - 1), _fill(n - 1)
+    return _sum(_fill(m * n), (_neg(_mul(pm, pn)), em + en), (_neg(_mul(pm1, pn1)), em1 + en1))

@@ -47,6 +47,7 @@ class Mutant(NamedTuple):
 
 _VT = "tests/test_veritool.py::"
 _SE = "tests/test_seqengine.py::"
+_EX = "tests/test_exactalg.py::"
 _CLI = "tests/test_cli.py::"
 _FZ = "tests/test_cli_fuzz.py::"
 
@@ -171,9 +172,9 @@ MUTANTS = [
         "src/prodrule/exactalg.py",
         "return quo if ints[0] + carry == 0 else None",
         "return quo",
-        ("tests/test_exactalg.py::test_rational_roots_of_constraint_numerator",
-         "tests/test_exactalg.py::test_root_extraction_matches_the_fraction_reference"),
-        "the remainder check of _divide_linear dropped: every candidate divides",
+        (_EX + "test_root_extraction_matches_the_fraction_reference",
+         _EX + "test_planted_roots_match_the_reference_with_pruning_at_both_ends"),
+        "the remainder check of _divide_linear dropped: a candidate that passes the pretests divides",
     ),
     Mutant(
         "src/prodrule/exactalg.py",
@@ -183,6 +184,22 @@ MUTANTS = [
          "tests/test_exactalg.py::test_rational_roots_fractional",
          "tests/test_exactalg.py::test_rational_roots_verified_and_complete"),
         "the hoisted denominators read off the constant term instead of the leading coefficient",
+    ),
+    Mutant(
+        "src/prodrule/exactalg.py",
+        "not work[0] % p and",
+        "not work[0] % q and",
+        (_EX + "test_roots_come_out_in_ascending_order",
+         _EX + "test_planted_roots_match_the_reference_with_pruning_at_both_ends",
+         _EX + "test_root_extraction_matches_the_fraction_reference"),
+        "the constant-term pretest reads q for p: a root whose q does not divide the constant term is skipped",
+    ),
+    Mutant(
+        "src/prodrule/exactalg.py",
+        "root[0] * (lead // root[1])",
+        "root[0] * root[1]",
+        (_EX + "test_roots_come_out_in_ascending_order",),
+        "the sort key p q instead of p (|lc|/q): -1/2 sorts before -1",
     ),
     # the rendering of a report
     Mutant(
@@ -248,10 +265,27 @@ MUTANTS = [
     ),
     Mutant(
         "src/prodrule/seqengine.py",
-        "pair = table._residuals[m, n] = _strip_d(*_sum(",
-        "pair = table._residuals[m, n] = tuple(_sum(",
+        "pair = table._residuals[m, n] = _strip_d(*_residual_sum(",
+        "pair = table._residuals[m, n] = tuple(_residual_sum(",
         (_SE + "test_residual_matches_ratfunc_reference",),
         "the residual's D-strip dropped: (13, 15) keeps a factor of D in its numerator",
+    ),
+    # the packed residual
+    Mutant(
+        "src/prodrule/seqengine.py",
+        "return bound.bit_length() + 1",
+        "return bound.bit_length()",
+        (_SE + "test_pack_and_unpack_round_trip_at_the_tight_slot_width",),
+        "the slot width one bit short: a coefficient at the bound spills into the slot above",
+    ),
+    Mutant(
+        "src/prodrule/seqengine.py",
+        "            digit -= mask + 1\n            x += 1\n",
+        "            digit -= mask + 1\n",
+        (_SE + "test_pack_and_unpack_round_trip_at_the_tight_slot_width",
+         _SE + "test_packed_residual_matches_the_schoolbook_sum_on_every_probe",
+         _SE + "test_residual_33_numerator_exact"),
+        "the borrow dropped in the unpack: every negative coefficient leaves the slot above one too small",
     ),
 ]
 

@@ -15,9 +15,10 @@ import kernel_reference as ref
 import prodrule.cli as cli
 import prodrule.seqengine as seqengine
 import prodrule.veritool as veritool
+from prodrule.classifier import ConstraintRecord
 from prodrule.cli import run
 from prodrule.exactalg import Poly
-from prodrule.seqengine import FamilyId, derive_d
+from prodrule.seqengine import FamilyId, SymbolicTable, derive_d
 from prodrule.veritool import CheckFailure, VerifyReport
 
 # exit code, stdout, stderr and the `--out` file keyed by argv, each generated
@@ -283,11 +284,26 @@ def test_classify_vanishing_probes_name_the_power_of_two_rule(capsys):
 def test_classify_probe_beyond_range_is_usage_error(capsys):
     assert run(["classify", "--probes", "3,5", "--range", "10"]) == 2
     assert "beyond --range" in capsys.readouterr().err
-    # constraints has no --range: its pairs are bounded by the default reach
+    # constraints takes the same --range, with the default reach when it is not given
     assert run(["constraints", "--pairs", "33,33"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: pair (33, 33) needs index 1089, beyond 1024"]
+
+
+def test_constraints_reach_past_1024_with_range(capsys):
+    assert run(["constraints", "--pairs", "3,3;33,33", "--range", "1089", "--format", "json"]) == 0
+    got = json.loads(capsys.readouterr().out)["constraints"]
+    table = SymbolicTable(1089)
+    assert got == [ConstraintRecord.probe(m, n, table).to_dict() for m, n in ((3, 3), (33, 33))]
+    assert [rec["factors"] for rec in got] == [["c + 1", "c", "c - 1", "c - 3"], ["c", "c - 1", "c - 3"]]
+
+
+def test_constraints_refuses_a_pair_past_its_range(capsys):
+    assert run(["constraints", "--pairs", "3,5;32,32", "--range", "1023"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: pair (32, 32) needs index 1024, beyond 1023"]
 
 
 def test_classify_single_probe_in_small_range_fails_cleanly(capsys):

@@ -73,8 +73,9 @@ well_formed = st.one_of(
         formats,
     ),
     st.builds(
-        lambda pairs, f: ["constraints", *pairs, *f],
+        lambda pairs, rng, f: ["constraints", *pairs, *rng, *f],
         _opt("--pairs", pair_lists(300)),
+        _opt("--range", st.integers(-1, 300).map(str)),
         formats,
     ),
 )

@@ -5,6 +5,7 @@ frozen here; the property tests then cover the general laws.
 """
 
 import operator
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kernel_reference as ref
+import prodrule.exactalg as exactalg
+from prodrule.classifier import solve_c
 from prodrule.exactalg import (
     DomainError,
     Poly,
@@ -19,12 +22,13 @@ from prodrule.exactalg import (
     _add,
     _mul,
     _neg,
+    _split_roots,
     equal_up_to_scalar,
     extract_rational_factors,
     poly_gcd,
     rational_roots,
 )
-from prodrule.seqengine import _powers, residual_numerator
+from prodrule.seqengine import SymbolicTable, _powers, residual_numerator
 
 C = Poly((0, 1))
 DENOM = Poly((-1, 2, 1))        # c^2 + 2c - 1
@@ -569,3 +573,81 @@ def test_int_and_fraction_forms_are_one_key(num, den):
         # constants also equal, hash like and find their scalar value
         k = Poly(num).leading
         assert {k: "v"}[Poly(num)] == "v" and {Poly(num): "v"}[Fraction(k)] == "v"
+
+
+# ---------------------------------------------------------------------------
+# the root pass: pruned at both ends of each quotient, roots sorted as ints
+
+def _planted(roots, cofactor):
+    """cofactor times (q c - p)^mult for each (p/q, mult) of roots."""
+    f = cofactor
+    for root, mult in roots:
+        f = f * Poly((-root.numerator, root.denominator)) ** mult
+    return f
+
+
+def test_roots_come_out_in_ascending_order():
+    # found in candidate order -1, -1/2, 1/3, 3, -3/2, then sorted by p (|lc|/q)
+    f = _planted([(Fraction(r), 1) for r in ("3", "1/3", "-1/2", "-1", "-3/2")], C)
+    assert _split_roots(f)[0] == [(-3, 2, 1), (-1, 1, 1), (-1, 2, 1), (0, 1, 1), (1, 3, 1), (3, 1, 1)]
+    assert rational_roots(f) == tuple(
+        (Fraction(r), 1) for r in ("-3/2", "-1", "-1/2", "0", "1/3", "3"))
+
+
+# denominators up to 12 and leading coefficients with many divisors: most
+# candidates fail at one end of the quotient before any synthetic division
+@settings(max_examples=25, deadline=None)
+@given(
+    roots=st.lists(st.tuples(st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 12)),
+                             st.integers(1, 3)), max_size=3),
+    lead=st.sampled_from([1, 12, 360, 720]),
+    tail=st.integers(1, 30),
+    sign=st.sampled_from([1, -1]),
+)
+@example(roots=[(Fraction(3, 2), 3), (Fraction(-2, 3), 2), (Fraction(1), 1)], lead=720, tail=7, sign=1)
+@example(roots=[(Fraction(-5, 12), 2), (Fraction(5, 12), 2)], lead=5040, tail=1, sign=-1)
+@example(roots=[(Fraction(1, 2), 3), (Fraction(-1, 2), 1)], lead=360, tail=30, sign=-1)
+def test_planted_roots_match_the_reference_with_pruning_at_both_ends(roots, lead, tail, sign):
+    f = _planted(roots, Poly((sign * tail, 0, sign * lead)))   # lead c^2 + tail has no real root
+    planted = Counter()
+    for root, mult in roots:
+        planted[root] += mult
+    got = rational_roots(f)
+    assert dict(got) == planted
+    assert got == ref.rational_roots(f)
+    assert extract_rational_factors(f) == ref.extract_rational_factors(f)
+
+
+def test_the_root_pass_divides_in_vain_at_most_2778_times_over_every_probe_numerator(monkeypatch, table):
+    # the parent's pass, with only the f(1) and f(-1) pretests, failed 7,092 times here
+    divide, calls = exactalg._divide_linear, Counter()
+
+    def counted(ints, p, q):
+        quo = divide(ints, p, q)
+        calls[quo is not None] += 1
+        return quo
+
+    monkeypatch.setattr(exactalg, "_divide_linear", counted)
+    live = [f for m in range(2, 33) for n in range(m, 1024 // m + 1) if (f := residual_numerator(m, n, table))]
+    for f in live:
+        _split_roots(f)
+    assert len(live) == 1630
+    assert calls[True] == 3403 and calls[False] <= 2778
+
+
+def test_from_ints_is_handed_only_int_tuples_without_trailing_zeros(monkeypatch):
+    wrap, seen = Poly._from_ints.__func__, []
+
+    def checked(cls, coeffs):
+        assert type(coeffs) is tuple and all(type(a) is int for a in coeffs), coeffs
+        assert not coeffs or coeffs[-1], coeffs
+        seen.append(coeffs)
+        return wrap(cls, coeffs)
+
+    monkeypatch.setattr(Poly, "_from_ints", classmethod(checked))
+    table = SymbolicTable(1089)
+    solve_c(((3, 3), (3, 5), (13, 15), (2, 9), (33, 33)), table)
+    for n in (0, 1, 2, 3, 13 * 15, 1089):
+        table.value(n)
+    assert residual_numerator(4, 6, table).is_zero
+    assert () in seen and len(seen) > 20

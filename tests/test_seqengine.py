@@ -769,3 +769,47 @@ def test_sparse_deep_fills_in_random_order_match_the_reference():
         power = seqengine._d_power(e)
         assert type(power) is tuple and all(type(a) is int for a in power)
         assert Poly(power) == D_DENOM**e
+
+
+# ---------------------------------------------------------------------------
+# the packed residual against the schoolbook sum it replaced (kernel_reference)
+
+def test_packed_residual_matches_the_schoolbook_sum_on_every_probe():
+    live = 0
+    for m in range(2, 33):
+        for n in range(m, 1024 // m + 1):
+            got = seqengine._residual_sum(m, n)
+            assert got == ref.residual_sum(m, n), (m, n)
+            live += bool(got[0])
+    assert live == 1630
+
+
+@pytest.mark.parametrize("m, n", [(3, 10**20), (10**10, 10**10), ((1 << 32) + 1, (1 << 32) + 3)])
+def test_packed_residual_matches_the_schoolbook_sum_at_deep_pairs(m, n):
+    assert seqengine._residual_sum(m, n) == ref.residual_sum(m, n)
+
+
+@st.composite
+def _slot_filling_polys(draw):
+    """A tuple with no trailing zero whose largest coefficient, in absolute value, may be 2^(B-1) - 1."""
+    width = draw(st.integers(1, 80))
+    top = (1 << (width - 1)) - 1
+    coeff = st.one_of(st.integers(-top, top), st.sampled_from([top, -top, 0]))
+    p = draw(st.lists(coeff, max_size=8))
+    while p and not p[-1]:
+        p.pop()
+    return tuple(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_slot_filling_polys())
+@example(p=())
+@example(p=(5, -3))                          # a negative leading coefficient
+@example(p=((1 << 63) - 1, -((1 << 63) - 1)))
+@example(p=(0, 0, -((1 << 40) - 1)))
+@example(p=(-1, 1, -1, 1))
+def test_pack_and_unpack_round_trip_at_the_tight_slot_width(p):
+    bits = seqengine._slot_bits(max(map(abs, p), default=0))
+    packed = seqengine._pack(p, bits)
+    assert packed == sum(a << (bits * i) for i, a in enumerate(p))   # P(2^bits)
+    assert seqengine._unpack(packed, bits) == p
