@@ -14,14 +14,16 @@ each numerator with all its rational roots split off, have a constant
 GCD (`cofactor_gcd_check`, which proves this is the same as the probe
 GCD deflating to a constant).  Root extraction and GCDs run on integer
 coefficients inside `exactalg`, and each probe's numerator and cofactor
-are integer polynomials.
+are integer polynomials.  The results, a `BranchRecord` per branch and a
+`ConstraintRecord` per probe inside a `ClassificationReport`, are
+immutable named tuples.
 """
 
 from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 
@@ -71,25 +73,20 @@ class Branch(enum.Enum):
     A0_B1 = "a0_b1"
 
 
-@dataclass(frozen=True)
-class BranchRecord:
-    """Outcome of one branch: which families it forces and why."""
+class BranchRecord(namedtuple("BranchRecord", "branch conclusion families justification")):
+    """Outcome of one branch: which families it forces and why.
 
-    branch: Branch
-    conclusion: str
-    families: tuple[FamilyId, ...]
-    justification: tuple[str, ...]
+    Fields: branch Branch, conclusion str, families tuple[FamilyId, ...], justification tuple[str, ...].
+    """
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConstraintRecord:
-    """One probe instance (m, n) reduced to a polynomial constraint on c."""
+class ConstraintRecord(namedtuple("ConstraintRecord", "m n numerator roots cofactor")):
+    """One probe instance (m, n) reduced to a polynomial constraint on c.
 
-    m: int
-    n: int
-    numerator: Poly
-    roots: tuple[tuple[Fraction, int], ...]
-    cofactor: Poly
+    Fields: m int, n int, numerator Poly, roots tuple[tuple[Fraction, int], ...], cofactor Poly.
+    """
+    __slots__ = ()
 
     @classmethod
     def probe(cls, m: int, n: int, table: SymbolicTable) -> "ConstraintRecord":
@@ -112,19 +109,16 @@ class ConstraintRecord:
         }
 
 
-@dataclass
-class ClassificationReport:
-    """Full result of the constraint-solving classification."""
+class ClassificationReport(namedtuple("ClassificationReport", "branches d_formula constraints surviving_c "
+                                      "family_map residual_cofactor_check cofactor_gcd_check notes "
+                                      "unresolved_cofactor", defaults=((), None))):
+    """Full result of the constraint-solving classification.
 
-    branches: list[BranchRecord]
-    d_formula: RatFunc
-    constraints: list[ConstraintRecord]
-    surviving_c: tuple[Fraction, ...]
-    family_map: dict[Fraction, FamilyId]
-    residual_cofactor_check: bool
-    cofactor_gcd_check: bool
-    notes: tuple[str, ...] = ()
-    unresolved_cofactor: Poly | None = field(default=None, repr=False)
+    Fields: branches list[BranchRecord], d_formula RatFunc, constraints list[ConstraintRecord],
+    surviving_c tuple[Fraction, ...], family_map dict[Fraction, FamilyId], residual_cofactor_check
+    bool, cofactor_gcd_check bool, notes tuple[str, ...] = (), unresolved_cofactor Poly | None = None.
+    """
+    __slots__ = ()
 
     @property
     def all_checks_pass(self) -> bool:

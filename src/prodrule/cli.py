@@ -28,7 +28,6 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 from types import SimpleNamespace
 
 from .classifier import DEFAULT_PROBES, ConstraintRecord, WeakProbesError, solve_c
@@ -360,7 +359,8 @@ def run(argv=None) -> int:
         document = _json_text(doc)
     if args.out:
         try:
-            Path(args.out).write_text(document + "\n")
+            with open(args.out, "w") as out:
+                out.write(document + "\n")
         except (OSError, ValueError) as exc:   # ValueError: a NUL byte in the path
             print(f"error: cannot write --out: {exc}", file=sys.stderr)
             return 2

@@ -40,10 +40,10 @@ when it is 1.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Union
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 __all__ = [
     "DomainError",

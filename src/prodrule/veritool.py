@@ -7,13 +7,14 @@ that fails; a specialization is checked index by index against a family.
 The specialization checks evaluate the symbolic table by the dot products
 of `seqengine`, one `_basis` per call, and raise TypeError for a c0 that is
 not an int or a `Fraction`, a float included, whatever the bound.  A
-report either carries an empty failure list or pinpoints the offending
-pairs with their exact `Fraction` sides.
+`VerifyReport` either carries an empty failure list or pinpoints the
+offending pairs as `CheckFailure` records with their exact `Fraction`
+sides; both are immutable named tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 from operator import index, mul
@@ -45,24 +46,20 @@ __all__ = [
 MAX_FULL_GRID = 500   # the largest side of a grid checked row by row: see verify_pieces
 
 
-@dataclass(frozen=True)
-class CheckFailure:
-    """One failed exact check; for specialization checks m == n == index."""
+class CheckFailure(namedtuple("CheckFailure", "m n lhs rhs")):
+    """One failed exact check; for specialization checks m == n == index.
 
-    m: int
-    n: int
-    lhs: Fraction
-    rhs: Fraction
+    Fields: m int, n int, lhs Fraction, rhs Fraction.
+    """
+    __slots__ = ()
 
 
-@dataclass
-class VerifyReport:
-    """Outcome of one exhaustive verification run."""
+class VerifyReport(namedtuple("VerifyReport", "subject range checked failures")):
+    """Outcome of one exhaustive verification run.
 
-    subject: str
-    range: int
-    checked: int
-    failures: list[CheckFailure]
+    Fields: subject str, range int, checked int, failures list[CheckFailure].
+    """
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

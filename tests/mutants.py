@@ -50,6 +50,7 @@ _SE = "tests/test_seqengine.py::"
 _EX = "tests/test_exactalg.py::"
 _CLI = "tests/test_cli.py::"
 _FZ = "tests/test_cli_fuzz.py::"
+_API = "tests/test_api.py::test_a_record_keeps_its_fields_and_is_immutable"
 
 MUTANTS = [
     # the grid's deciding square
@@ -286,6 +287,30 @@ MUTANTS = [
          _SE + "test_packed_residual_matches_the_schoolbook_sum_on_every_probe",
          _SE + "test_residual_33_numerator_exact"),
         "the borrow dropped in the unpack: every negative coefficient leaves the slot above one too small",
+    ),
+    # the records
+    Mutant(
+        "src/prodrule/veritool.py",
+        '    Fields: m int, n int, lhs Fraction, rhs Fraction.\n    """\n    __slots__ = ()\n',
+        '    Fields: m int, n int, lhs Fraction, rhs Fraction.\n    """\n',
+        (_API + "[CheckFailure]",),
+        "__slots__ dropped from CheckFailure: every failure carries a __dict__ that takes new attributes",
+    ),
+    Mutant(
+        "src/prodrule/classifier.py",
+        "defaults=((), None)",
+        "defaults=(None, None)",
+        (_API + "[ClassificationReport]",),
+        "the ClassificationReport defaults read (None, None): a report built without notes has notes None",
+    ),
+    Mutant(
+        "src/prodrule/veritool.py",
+        'namedtuple("CheckFailure", "m n lhs rhs")',
+        'namedtuple("CheckFailure", "n m lhs rhs")',
+        (_API + "[CheckFailure]",
+         _VT + "test_failure_serialization",
+         _CLI + "test_failing_verify_stdout_matches_golden[corrupt verify --family ceilhalf --max 12]"),
+        "the CheckFailure fields swapped: a failure built as (m, n, ...) reports m as n",
     ),
 ]
 

@@ -416,12 +416,15 @@ def test_out_writes_json_document(capsys, tmp_path):
 
 
 def test_unwritable_out_is_usage_error(capsys, tmp_path):
-    for target in (str(tmp_path / "missing" / "report.json"), str(tmp_path), "a\x00b"):
+    # a trailing slash names a directory, as open() reads the path
+    slashed = str(tmp_path / "report.json") + "/"
+    for target in (str(tmp_path / "missing" / "report.json"), str(tmp_path), "a\x00b", slashed):
         assert run(["derive-d", "--out", target]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: cannot write --out: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_text_and_json_agree(capsys):
