@@ -40,7 +40,6 @@ __all__ = [
     "WeakProbesError",
     "branch_analysis",
     "cofactor_gcd_check",
-    "linear_factor_str",
     "solve_c",
 ]
 

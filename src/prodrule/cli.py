@@ -6,12 +6,13 @@ Each command builds one JSON document through the reports' `to_dict`;
 the command table `_COMMANDS` pairs with the command, which reads the
 document alone.  `--out PATH` additionally writes the document to a
 file.  Both write, byte for byte, `json.dumps(doc, indent=2)`, through
-the one writer `_json_text`.  Diagnostics go to stderr.  Exit codes: 0
-success (for verify and classify this requires every check to pass), 1
-failed checks or probes that constrain nothing, 2 usage errors, an
-`--out` path that cannot be written included; `main` also exits 2 when
-stdout is closed before the output is written, as in
-`prodrule table ... | head -1`.
+the one writer `_json_text`, which takes only the exact types a document
+holds; `table` writes each T(n) from the integer u(n) = 2T(n).
+Diagnostics go to stderr.  Exit codes: 0 success (for verify and
+classify this requires every check to pass), 1 failed checks or probes
+that constrain nothing, 2 usage errors, an `--out` path that cannot be
+written included; `main` also exits 2 when stdout is closed before the
+output is written, as in `prodrule table ... | head -1`.
 
 `_COMMANDS` also maps each command's options, besides the shared
 `--format` and `--out`, to a converter, a default or `REQUIRED`, and a
@@ -134,7 +135,7 @@ def _cmd_eval(args) -> tuple[int, dict, str | None]:
 def _cmd_table(args) -> tuple[int, dict, str | None]:
     """Print n, T(n) rows for one closed-form family."""
     family = FamilyId(args.family)
-    rows = [[n, str(Fraction(u, 2))] for n, u in enumerate(doubled_values(family, args.max))]
+    rows = [[n, f"{u}/2" if u & 1 else str(u >> 1)] for n, u in enumerate(doubled_values(family, args.max))]
     return 0, {"family": family.value, "max": args.max, "rows": rows}, None
 
 
@@ -299,26 +300,23 @@ def parse_args(argv) -> SimpleNamespace:
 
 
 _JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
-_JSON_BASES = (str, list, dict, int)
 
 
-def _json_text(value, indent: str = "", kind: type | None = None) -> str:
+def _json_text(value, indent: str = "") -> str:
     """`json.dumps(value, indent=2)` for a document of dicts, lists, strs, ints, bools and None.
 
     `json` runs its pure-Python encoder whenever `indent` is set; this
     writer quotes every string with json's C `encode_basestring_ascii`
     and lays the containers out by joins.  It dispatches on the exact
-    type, or on `kind` when given, and quotes a str item in place; a
-    subclass is written as its base, as json writes it.  A float, or a
-    dict key that is not a str, raises TypeError: no command's document
-    holds either.
+    type and quotes a str item in place.  Any other value, a subclass
+    of one of these types included, or a dict key that is not a str,
+    raises TypeError: no command's document holds one.
     """
-    if kind is None:
-        kind = type(value)
+    kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
     if kind is int:
-        return int.__repr__(value)
+        return repr(value)
     if kind is bool or value is None:
         return _JSON_CONSTANTS[value]
     inner = indent + "  "
@@ -331,10 +329,7 @@ def _json_text(value, indent: str = "", kind: type | None = None) -> str:
             f"{encode_basestring_ascii(item) if type(item) is str else _json_text(item, inner)}"
             for key, item in value.items()]
     else:
-        base = next((base for base in _JSON_BASES if isinstance(value, base)), None)
-        if base is None:
-            raise TypeError(f"a {type(value).__name__} has no place in a JSON document")
-        return _json_text(value, indent, base)
+        raise TypeError(f"a {kind.__name__} has no place in a JSON document")
     if not items:
         return brackets
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"

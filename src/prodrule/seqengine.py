@@ -82,15 +82,11 @@ from .exactalg import Poly, RatFunc, _add, _coeff, _mul, _neg, poly_gcd  # noqa:
 
 __all__ = [
     "DEFAULT_MAX_INDEX",
-    "FAMILY_PIECES",
     "FamilyId",
     "SymbolicTable",
     "derive_d",
-    "doubled_values",
-    "family_pieces",
     "family_value",
     "residual_numerator",
-    "walk_value",
 ]
 
 DEFAULT_MAX_INDEX = 1024

@@ -2,14 +2,14 @@
 
 A grid check takes integer pieces of u = 2T, a family's from its
 `seqengine.FAMILY_PIECES` entry, and runs by rows of ints on the square
-(m, n) grid that decides every cell, then on the whole N x N grid only if
-that fails; a specialization is checked index by index against a family.
-The specialization checks evaluate the symbolic table by the dot products
-of `seqengine`, one `_basis` per call, and raise TypeError for a c0 that is
-not an int or a `Fraction`, a float included, whatever the bound.  A
-`VerifyReport` either carries an empty failure list or pinpoints the
-offending pairs as `CheckFailure` records with their exact `Fraction`
-sides; both are immutable named tuples.
+(m, n) grid that decides every cell, up to its first failing row, then
+on the whole N x N grid only if that fails; a specialization is checked
+index by index against a family.  The specialization checks evaluate the
+symbolic table by the dot products of `seqengine`, one `_basis` per call,
+and raise TypeError for a c0 that is not an int or a `Fraction`, a float
+included, whatever the bound.  A `VerifyReport` either carries an empty
+failure list or pinpoints the offending pairs as `CheckFailure` records
+with their exact `Fraction` sides; both are immutable named tuples.
 """
 
 from __future__ import annotations
@@ -91,12 +91,13 @@ def verify_pieces(pieces, max_mn: int, subject: str) -> VerifyReport:
     with one `==`.  On a pair of classes of (m, n) mod M the defect is a
     polynomial of degree at most delta, the largest piece degree, in each of m
     and n, so (Alon, Lemma 2.1) the square 1..d by 1..d, d = min(N, M (delta + 1)),
-    decides the grid: a pass costs O(M^2 (delta + 1)^2) whatever N.  Only if a
-    cell of it fails is every row 1..N checked, the failures in row-major order
-    with exact `Fraction` sides; `checked` is N^2.  That holds O(N) rows and up
-    to N^2 failures, so a side d or N past `MAX_FULL_GRID` = 500 raises
-    ValueError before its rows are built; at 500, every cell failing took 1.1 s
-    and a 68 MiB tracemalloc peak (2-core VM, Python 3.11).
+    decides the grid: a pass costs O(M^2 (delta + 1)^2) whatever N.  The square
+    stops at its first failing row, and only then is every row 1..N checked,
+    the failures in row-major order with exact `Fraction` sides; `checked` is
+    N^2.  That holds O(N) rows and up to N^2 failures, so a side d or N past
+    `MAX_FULL_GRID` = 500 raises ValueError before its rows are built; at 500,
+    every cell failing took 1.1 s and a 68 MiB tracemalloc peak (2-core VM,
+    Python 3.11).
     """
     max_mn = index(max_mn)   # a float N is refused before any work
     if max_mn < 1:
@@ -119,6 +120,8 @@ def verify_pieces(pieces, max_mn: int, subject: str) -> VerifyReport:
             if left != right:
                 failures += [CheckFailure(m, n, Fraction(x, 4), Fraction(y, 4))
                              for n, (x, y) in enumerate(zip(left, right), 1) if x != y]
+                if top < max_mn:
+                    break   # the square only decides: the whole grid lists the failures
             del left, right   # freed before the next row is built
         if not failures or top == max_mn:
             break

@@ -50,7 +50,8 @@ _SE = "tests/test_seqengine.py::"
 _EX = "tests/test_exactalg.py::"
 _CLI = "tests/test_cli.py::"
 _FZ = "tests/test_cli_fuzz.py::"
-_API = "tests/test_api.py::test_a_record_keeps_its_fields_and_is_immutable"
+_AP = "tests/test_api.py::"
+_API = _AP + "test_a_record_keeps_its_fields_and_is_immutable"
 
 MUTANTS = [
     # the grid's deciding square
@@ -81,6 +82,15 @@ MUTANTS = [
          _VT + "test_class_decision_matches_the_fraction_table_on_random_pieces",
          _VT + "test_verify_family_matches_the_integer_brute_force_on_random_pieces"),
         "the whole grid never rechecked after a failing square",
+    ),
+    Mutant(
+        "src/prodrule/veritool.py",
+        "if top < max_mn:",
+        "if top <= max_mn:",
+        (_VT + "test_a_failing_square_stops_at_its_first_failing_row",
+         _VT + "test_a_corrupted_piece_fails_past_the_deciding_rows[triangular]",
+         _VT + "test_verify_family_matches_the_integer_brute_force_on_random_pieces"),
+        "the square's early stop applied to the whole grid: only the first failing row is listed",
     ),
     Mutant(
         "src/prodrule/veritool.py",
@@ -226,6 +236,44 @@ MUTANTS = [
         '\\"{key}\\": ',
         (_CLI + "test_the_writer_matches_json_dumps_on_any_document",),
         "dict keys quoted without escaping: golden keys are plain ASCII names, so only the differential test sees it",
+    ),
+    Mutant(
+        "src/prodrule/cli.py",
+        'raise TypeError(f"a {kind.__name__} has no place in a JSON document")',
+        "return str(value)",
+        (_CLI + "test_the_writer_refuses_a_subclass_of_a_json_type[intenum]",
+         _CLI + "test_the_writer_refuses_a_subclass_of_a_json_type[str]",
+         _CLI + "test_the_writer_refuses_a_subclass_of_a_json_type[list-item]",
+         _CLI + "test_the_writer_refuses_a_subclass_of_a_json_type[dict-item]",
+         _CLI + "test_the_writer_refuses_floats_and_keys_that_are_not_str[1.5]"),
+        "the writer's refusal written as str: a float or a subclass lands in the document unquoted",
+    ),
+    Mutant(
+        "src/prodrule/cli.py",
+        'f"{u}/2" if u & 1 else str(u >> 1)',
+        'f"{u}/2" if not u & 1 else str(u >> 1)',
+        (_CLI + "test_table_rows_match_the_fraction_of_u[FamilyId.CEIL_HALF-2-text]",
+         _CLI + "test_table_rows_match_the_fraction_of_u[FamilyId.HALF-1-json]",
+         _CLI + "test_stdout_matches_golden[table --family triangular --max 20]"),
+        "the table's parity test flipped: an even u prints as u/2 and an odd one as its half, rounded down",
+    ),
+    # the public API
+    Mutant(
+        "src/prodrule/__init__.py",
+        " + veritool.__all__",
+        "",
+        (_AP + "test_package_all_is_pinned",
+         _AP + "test_each_library_module_exports_its_own_share_of_the_package",
+         _AP + "test_star_import_gives_every_export"),
+        "veritool's names dropped from the package's __all__: verify_family and its kin leave the star import",
+    ),
+    Mutant(
+        "src/prodrule/seqengine.py",
+        '    "residual_numerator",\n]',
+        '    "residual_numerator",\n    "walk_value",\n]',
+        (_AP + "test_package_all_is_pinned",
+         _AP + "test_each_library_module_exports_its_own_share_of_the_package"),
+        "a module-path helper put back into seqengine.__all__: the package exports a name callers do not use",
     ),
     # the option parser
     Mutant(

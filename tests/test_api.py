@@ -93,6 +93,12 @@ def test_package_all_is_pinned():
     assert set(prodrule.__all__) == PUBLIC
 
 
+def test_each_library_module_exports_its_own_share_of_the_package():
+    # the package's __all__ is the union of its modules' lists, each name in one of them
+    shares = [importlib.import_module(f"prodrule.{module}").__all__ for module in MODULES if module != "cli"]
+    assert sorted(name for share in shares for name in share) == sorted(prodrule.__all__) == sorted(PUBLIC)
+
+
 def test_star_import_gives_every_export():
     namespace = {}
     exec("from prodrule import *", namespace)

@@ -1,5 +1,6 @@
 """End-to-end CLI tests driven through run(argv)."""
 
+import enum
 import json
 import os
 import subprocess
@@ -205,6 +206,31 @@ def test_the_writer_refuses_floats_and_keys_that_are_not_str(doc):
         cli._json_text(doc)
 
 
+class _Int(enum.IntEnum):
+    ONE = 1
+
+
+class _Str(str):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+@pytest.mark.parametrize("doc", [_Int.ONE, [_Int.ONE], _Str("a"), {"a": _Str("b")}, _List([1]),
+                                 {"rows": _List()}, _Dict(a=1), [_Dict()]],
+                         ids=["intenum", "intenum-item", "str", "str-item", "list", "list-item", "dict", "dict-item"])
+def test_the_writer_refuses_a_subclass_of_a_json_type(doc):
+    # exact types only: no command's document holds an IntEnum or a subclass of str, list or dict
+    with pytest.raises(TypeError):
+        cli._json_text(doc)
+
+
 @pytest.mark.parametrize("case", list(GOLDEN))
 def test_only_the_printed_output_is_rendered(capsys, monkeypatch, case):
     # JSON mode runs no text view, and text mode renders no polynomial the
@@ -386,6 +412,20 @@ def test_table_json(capsys):
         "max": 2,
         "rows": [[0, "1/2"], [1, "1/2"], [2, "1/2"]],
     }
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("max_n", [0, 1, 2, 999])
+@pytest.mark.parametrize("family", list(FamilyId))
+def test_table_rows_match_the_fraction_of_u(capsys, family, max_n, fmt):
+    # each row is u(n)/2 for the integer u = 2T, written as `str(Fraction(u, 2))` writes it
+    assert run(["table", "--family", family.value, "--max", str(max_n), "--format", fmt]) == 0
+    want = [[n, str(Fraction(u, 2))] for n, u in enumerate(seqengine.doubled_values(family, max_n))]
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert out == json.dumps({"family": family.value, "max": max_n, "rows": want}, indent=2) + "\n"
+    else:
+        assert out == "".join(f"{n}\t{v}\n" for n, v in want)
 
 
 def test_verify_and_table_refuse_a_max_past_the_cap_before_any_allocation(capsys, monkeypatch, tmp_path):

@@ -288,7 +288,8 @@ DECIDING_ROWS = {
 @pytest.mark.parametrize("family", list(FamilyId))
 def test_a_passing_grid_checks_only_its_deciding_rows(monkeypatch, family, max_mn):
     # a passing grid builds u(0..d) and rows 1..d over n <= d, d = min(N, M (delta + 1));
-    # a failing one builds that square, then, if d < N, u(0..N) and rows 1..N over n <= N
+    # a failing one builds that square up to its first failing row, then, if d < N,
+    # u(0..N) and rows 1..N over n <= N
     sides, rows = [], []
     values = seqengine._piece_values
 
@@ -312,7 +313,21 @@ def test_a_passing_grid_checks_only_its_deciding_rows(monkeypatch, family, max_m
     assert not report.ok and report.failures[0].m == report.failures[0].n == 1
     whole = [(m, max_mn) for m in range(1, max_mn + 1)] if deciding < max_mn else []
     assert sides == ([(deciding,), (max_mn,)] if whole else [(deciding,)])
-    assert rows == square + whole
+    assert rows == (square[:1] + whole if whole else square)
+
+
+def test_a_failing_square_stops_at_its_first_failing_row(monkeypatch):
+    # u = 2 on class M // 2 of M = 499 and 0 elsewhere fails in row 1 of the square
+    # 1..499: that row, then the whole grid, N + 1 rows; the whole square would make 2N - 1
+    pieces = [(0, 0, 0)] * 499
+    pieces[499 // 2] = (2, 0, 0)
+    rows = []
+    values = seqengine._piece_values
+    monkeypatch.setattr(veritool, "_piece_values",
+                        lambda pieces, top, *step: (rows.extend(step), values(pieces, top, *step))[1])
+    report = verify_pieces(pieces, 500, "pieces")
+    assert rows == [1, *range(1, 501)]
+    assert report == _int_verify(500, pieces)
 
 
 # the square decides every cell, so a pass at N = 10^6 holds no list of length N;
