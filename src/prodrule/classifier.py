@@ -97,13 +97,14 @@ class ConstraintRecord(namedtuple("ConstraintRecord", "m n numerator roots cofac
         return cls(m, n, numerator, roots, cofactor)
 
     def to_dict(self) -> dict:
-        """JSON shape; rationals are rendered as strings."""
+        """JSON shape; rationals are rendered as strings, each root once for both its lists."""
+        roots = [[str(root), mult] for root, mult in self.roots]
         return {
             "m": self.m,
             "n": self.n,
             "numerator": str(self.numerator),
-            "roots": [[str(root), mult] for root, mult in self.roots],
-            "factors": [linear_factor_str(root, mult) for root, mult in self.roots],
+            "roots": roots,
+            "factors": [_factor_text(text, mult) for text, mult in roots],
             "cofactor": str(self.cofactor),
         }
 
@@ -146,12 +147,12 @@ class ClassificationReport(namedtuple("ClassificationReport", "branches d_formul
 
 
 def linear_factor_str(root: Fraction, multiplicity: int = 1) -> str:
-    """Render the factor (c - root)^multiplicity the way the CLI prints it.
+    """Render the factor (c - root)^multiplicity the way the CLI prints it."""
+    return _factor_text(str(root), multiplicity)
 
-    Reads the factor off str(root), as `Poly((-root, 1))` prints it:
-    c, c - r, or c + |r| for a negative r.
-    """
-    text = str(root)
+
+def _factor_text(text: str, multiplicity: int) -> str:
+    """(c - r)^multiplicity from the text of r, as `Poly((-r, 1))` prints it: c, c - r, or c + |r| for r < 0."""
     if text == "0":
         base = "c"
     elif text[0] == "-":

@@ -32,8 +32,8 @@ Every value here is immutable and every operation is pure, so values can
 be shared freely across threads.
 
 `str()` renders descending powers with an explicit `^` and no `*`, for
-example `3c^3 + c`, reading each coefficient's numerator and denominator
-as ints.  A quotient renders as `(num)/(den)`, omitting the denominator
+example `3c^3 + c`, each term read off `str()` of its coefficient, in one
+pass.  A quotient renders as `(num)/(den)`, omitting the denominator
 when it is 1.
 """
 
@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
+# the suffix of each power of c up to c^63; `Poly.to_str` formats any higher one
+_POWERS = ("", "c", *(f"c^{e}" for e in range(2, 64)))
 
 
 class DomainError(ArithmeticError):
@@ -239,23 +241,16 @@ class Poly:
         return result[1] if result is not NotImplemented else NotImplemented
 
     def to_str(self) -> str:
-        """Descending powers of c, reading each coefficient as two ints."""
-        parts: list[str] = []
-        for exp in range(len(self.coeffs) - 1, -1, -1):
-            coeff = self.coeffs[exp]
-            num, den = coeff.numerator, coeff.denominator
-            if not num:
-                continue
-            mag = -num if num < 0 else num
-            body = str(mag) if den == 1 else f"{mag}/{den}"
-            if exp:
-                power = "c" if exp == 1 else f"c^{exp}"
-                body = power if mag == 1 and den == 1 else body + power
-            if parts:
-                parts.append(f"- {body}" if num < 0 else f"+ {body}")
-            else:
-                parts.append(f"-{body}" if num < 0 else body)
-        return " ".join(parts) or "0"
+        """Descending powers of c: one pass writes each term with its sign, then the first `+ ` goes."""
+        powers = _POWERS
+        if len(self.coeffs) > len(powers):
+            powers += tuple(f"c^{e}" for e in range(len(powers), len(self.coeffs)))
+        text = "".join([
+            (f" - {power}" if x == -1 and power else f" - {-x}{power}") if x < 0
+            else (f" + {power}" if x == 1 and power else f" + {x}{power}")
+            for x, power in zip(self.coeffs, powers) if x
+        ][::-1])
+        return (text[3:] if text[1] == "+" else f"-{text[3:]}") if text else "0"
 
     def __str__(self) -> str:
         return self.to_str()
@@ -279,9 +274,13 @@ def _content_free(ints: list[int]) -> list[int]:
 
 
 def _primitive(coeffs) -> list[int]:
-    """The primitive integer multiple of rational coefficients (zero stays [])."""
-    scale = math.lcm(*(x.denominator for x in coeffs))
-    return _content_free([x.numerator * (scale // x.denominator) for x in coeffs])
+    """The primitive integer multiple of rational coefficients (zero stays []); ints lose only their content."""
+    try:
+        content = math.gcd(*coeffs)   # ints only: with a Fraction, clear the denominators first
+    except TypeError:
+        scale = math.lcm(*(x.denominator for x in coeffs))
+        return _content_free([x.numerator * (scale // x.denominator) for x in coeffs])
+    return [x // content for x in coeffs] if content > 1 else list(coeffs)
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
@@ -341,16 +340,24 @@ def _divide_linear(ints: list[int], p: int, q: int) -> list[int] | None:
 
     Synthetic division from the top: each quotient coefficient must be an
     integer and the remainder zero.  For gcd(p, q) = 1 and primitive ints,
-    Gauss's lemma makes that the same as p/q being a root.
+    Gauss's lemma makes that the same as p/q being a root.  An integer
+    root (q = 1) needs no division, only the remainder check.
     """
-    quo = [0] * (len(ints) - 1)
+    quo = []
     carry = 0
-    for i in range(len(ints) - 1, 0, -1):
-        top, rest = divmod(ints[i] + carry, q)
-        if rest:
-            return None
-        quo[i - 1] = top
-        carry = p * top
+    if q == 1:
+        for x in ints[:0:-1]:
+            carry += x
+            quo.append(carry)
+            carry *= p
+    else:
+        for x in ints[:0:-1]:
+            top, rest = divmod(x + carry, q)
+            if rest:
+                return None
+            quo.append(top)
+            carry = p * top
+    quo.reverse()
     return quo if ints[0] + carry == 0 else None
 
 
@@ -435,9 +442,10 @@ def extract_rational_factors(f: Poly) -> tuple[tuple[tuple[Fraction, int], ...],
     """
     found, work = _split_roots(f)
     roots = tuple((Fraction(p, q), mult) for p, q, mult in found)
+    scale, rest = divmod(f.leading, work[-1])   # an int quotient, also for a Fraction lc(f)
+    if not rest:
+        return roots, Poly._from_ints(tuple(x * scale for x in work))
     scale = Fraction(f.leading, work[-1])
-    if scale.denominator == 1:
-        return roots, Poly._from_ints(tuple(x * scale.numerator for x in work))
     return roots, Poly(x * scale for x in work)
 
 

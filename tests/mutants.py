@@ -189,6 +189,22 @@ MUTANTS = [
     ),
     Mutant(
         "src/prodrule/exactalg.py",
+        "carry *= p",
+        "carry += p",
+        (_EX + "test_rational_roots_of_constraint_numerator",
+         _EX + "test_root_extraction_matches_the_fraction_reference",
+         _EX + "test_kernel_matches_the_references_on_every_probe_numerator"),
+        "the integer-root division adds p to the carry instead of multiplying by it: integer roots go unseen",
+    ),
+    Mutant(
+        "src/prodrule/exactalg.py",
+        "return [x // content for x in coeffs] if content > 1 else list(coeffs)",
+        "return list(coeffs)",
+        (_EX + "test_primitive_is_the_content_free_integer_multiple",),
+        "the int path of _primitive keeps the content: the root pass and the gcd chain carry a common factor",
+    ),
+    Mutant(
+        "src/prodrule/exactalg.py",
         "denominators = _divisors(work[-1])",
         "denominators = _divisors(work[0])",
         ("tests/test_exactalg.py::test_root_extraction_matches_the_fraction_reference",
@@ -220,6 +236,15 @@ MUTANTS = [
         (_CLI + "test_stdout_matches_golden[classify]",
          "tests/test_classifier.py::test_linear_factor_str_matches_the_polynomial_rendering"),
         "the factor of a negative root printed with a minus sign",
+    ),
+    Mutant(
+        "src/prodrule/exactalg.py",
+        'text[3:] if text[1] == "+"',
+        'text[1:] if text[1] == "+"',
+        (_EX + "test_rendering",
+         _EX + "test_rendering_matches_the_fraction_reference",
+         _CLI + "test_stdout_matches_golden[classify]"),
+        "the renderer keeps the `+ ` of a leading positive term: 3c^3 + c prints as + 3c^3 + c",
     ),
     Mutant(
         "src/prodrule/cli.py",

@@ -4,6 +4,7 @@ Expected values were computed by hand (long division, expansion) and are
 frozen here; the property tests then cover the general laws.
 """
 
+import math
 import operator
 from collections import Counter
 from fractions import Fraction
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import kernel_reference as ref
 import prodrule.exactalg as exactalg
-from prodrule.classifier import solve_c
+from prodrule.classifier import ConstraintRecord, solve_c
 from prodrule.exactalg import (
     DomainError,
     Poly,
@@ -22,6 +23,7 @@ from prodrule.exactalg import (
     _add,
     _mul,
     _neg,
+    _primitive,
     _split_roots,
     equal_up_to_scalar,
     extract_rational_factors,
@@ -417,12 +419,44 @@ def test_kernel_matches_the_references_on_every_probe_numerator(table):
                 continue
             count += 1
             roots, cofactor = extract_rational_factors(f)
-            assert (roots, cofactor) == ref.extract_rational_factors(f), (m, n)
+            ref_roots, ref_cofactor = ref.extract_rational_factors(f)
+            assert (roots, cofactor) == (ref_roots, ref_cofactor), (m, n)
             assert all(type(x) is int for x in cofactor.coeffs), (m, n)
             assert rational_roots(f) == roots, (m, n)
             for g in probes:
                 assert poly_gcd(f, g) == ref.poly_gcd(f, g), (m, n)
+            # the record classify would print for (m, n), byte for byte
+            factors = [(ref.to_str(Poly((-r, 1))), k) for r, k in ref_roots]
+            assert ConstraintRecord.probe(m, n, table).to_dict() == {
+                "m": m,
+                "n": n,
+                "numerator": ref.to_str(f),
+                "roots": [[str(r), k] for r, k in ref_roots],
+                "factors": [f"({base})^{k}" if k > 1 else base for base, k in factors],
+                "cofactor": ref.to_str(ref_cofactor),
+            }, (m, n)
     assert count == 1630
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs=st.one_of(st.lists(st.integers(-10**6, 10**6), max_size=8),
+                        st.lists(st.one_of(st.integers(-1000, 1000), rationals), max_size=8)),
+       k=st.integers(1, 10**6))
+@example(coeffs=[4, -6, 8], k=1)
+@example(coeffs=[Fraction(4), Fraction(-6)], k=3)
+@example(coeffs=[0, 0], k=5)
+def test_primitive_is_the_content_free_integer_multiple(coeffs, k):
+    # a common factor k of int coefficients goes with their content
+    for cs in (coeffs, [x * k for x in coeffs]):
+        f = Poly(cs)
+        got = _primitive(f.coeffs)
+        assert all(type(x) is int for x in got)
+        if f.is_zero:
+            assert got == []
+            continue
+        assert math.gcd(*got) == 1
+        scale = Fraction(f.leading) / got[-1]
+        assert scale > 0 and [scale * x for x in got] == list(f.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -439,18 +473,29 @@ render_coeffs = st.one_of(
     big_ints,
     st.builds(Fraction, big_ints, st.integers(1, 2**300)),
 )
-# zero-heavy lists give gaps of zero coefficients; short ones give constants
-render_polys = st.lists(
-    st.one_of(st.just(Fraction(0)), render_coeffs), max_size=9
-).map(Poly)
+render_ints = st.one_of(st.sampled_from([1, -1]), st.integers(-1000, 1000), big_ints)
 
 
+def _render_polys(coeffs, max_size):
+    # zero-heavy lists give gaps of zero coefficients; short ones give constants
+    return st.lists(st.one_of(st.just(0), coeffs), max_size=max_size).map(Poly)
+
+
+render_polys = _render_polys(render_coeffs, 9)
+
+
+# classify prints numerators of degree 26 at mn <= 1024 and of degree 839 at
+# (3, 10^100); the renderer's suffix table ends at c^63
 @settings(max_examples=300, deadline=None)
-@given(f=render_polys)
+@given(f=st.one_of(_render_polys(render_ints, 40), _render_polys(render_coeffs, 40)))
 @example(f=Poly())
 @example(f=Poly((-1,)))
 @example(f=Poly((0, 0, Fraction(-1, 3), 0, 1)))
 @example(f=Poly((2**300, 0, -1)))
+@example(f=Poly((*range(-31, 32), -1)))                          # c^63, the table's last power
+@example(f=Poly((Fraction(1, 2), *[0] * 63, -1)))               # c^64, the first one formatted
+@example(f=Poly((-1, *range(-420, 420), 1)))                    # degree 841
+@example(f=Poly((*[Fraction(k, 7) for k in range(-3, 837)], 2**200)))   # degree 840, mixed
 def test_rendering_matches_the_fraction_reference(f):
     assert str(f) == ref.to_str(f)
     assert repr(f) == f"Poly({ref.to_str(f)!r})"
